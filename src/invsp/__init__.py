@@ -53,7 +53,7 @@ from .polycore import (
     is_one_on_hyperplane,
     term_count,
 )
-from .rat import Rat, rat, rat_str
+from .rat import Rat, rat_str
 from .sweep import L0Report, run_l0_sweep
 from .transform import (
     SpecialReport,
@@ -100,7 +100,6 @@ __all__ = [
     "parse_group",
     "pattern_feasible",
     "quotient_H",
-    "rat",
     "rat_str",
     "run_l0_sweep",
     "search_targets",

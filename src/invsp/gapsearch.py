@@ -340,7 +340,11 @@ class AchievabilityReport:
             "frontier": self.frontier,
             "exhaustive": self.exhaustive,
             "sought": self.sought,
-            "stats": {"nodes": self.stats.nodes, "lp_calls": self.stats.lp_calls},
+            "stats": {
+                "nodes": self.stats.nodes,
+                "lp_calls": self.stats.lp_calls,
+                "pivots": self.stats.pivots,
+            },
         }
 
 
@@ -798,7 +802,11 @@ class SearchReport:
             "found": {str(v): h.to_json_dict() for v, h in sorted(self.found.items())},
             "exhaustive": self.exhaustive,
             "unconditional": self.unconditional,
-            "stats": {"nodes": self.stats.nodes, "lp_calls": self.stats.lp_calls},
+            "stats": {
+                "nodes": self.stats.nodes,
+                "lp_calls": self.stats.lp_calls,
+                "pivots": self.stats.pivots,
+            },
         }
 
 

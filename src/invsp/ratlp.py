@@ -1,19 +1,36 @@
 """Exact rational linear programming by a two-phase tableau simplex.
 
-All arithmetic is over exact rationals, so feasibility answers are
-certificates rather than numerical judgements: strict-positivity questions
-are posed as "maximize the slack t" problems and the sign of the exact
-optimum decides the open condition.  Bland's rule is used throughout, which
-guarantees termination even on degenerate instances.
+All arithmetic is exact, so feasibility answers are certificates rather
+than numerical judgements: strict-positivity questions are posed as
+"maximize the slack t" problems and the sign of the exact optimum decides
+the open condition.  Bland's rule is used throughout, which guarantees
+termination even on degenerate instances.
 
 Variables are free (unbounded in both directions); encode bounds as
 explicit constraint rows.  Internally each free variable is split into a
 difference of two nonnegative ones.
+
+The tableau is fraction-free, in the spirit of Bareiss's integer-preserving
+elimination: each row is a list of Python ints whose real row is the list
+divided by the entry at the row's basic column, which is kept positive.
+Pivoting on row r and column c rewrites every other row as
+``p*row - row[c]*pivot_row`` with ``p = pivot_row[c] > 0`` and divides the
+result by its gcd (a pivot row with a negative entry, which only driving
+out an artificial meets, is negated first).  Ratios are compared by
+cross-multiplication, and the z-row is held as a positive multiple of the
+rational one, since Bland's rule only reads its signs.  Every quantity the
+rules test is thus the exact rational one, so the basis sequence, and with
+it the returned vertex, objective and status, are those of the textbook
+rational tableau with the same column order (u block, v block, slacks,
+artificials).  The tableau holds Python ints whatever the rational
+backend; only the reported values are turned back into the backend's
+:data:`~invsp.rat.Rat`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .rat import Rat, rat
@@ -28,12 +45,39 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
+_FLIP = {LE: GE, GE: LE, EQ: EQ}
+
 
 @dataclass
 class LPResult:
     status: str
     objective: Optional[Rat]
     x: Optional[List[Rat]]
+    pivots: int = 0  # basis changes made, drive-out pivots included
+
+
+def _num_den(value) -> Tuple[int, int]:
+    """Numerator and positive denominator of an exact rational input."""
+    try:
+        return int(value.numerator), int(value.denominator)
+    except AttributeError:  # "num/den" strings; rat() also rejects floats
+        q = rat(value)
+        return int(q.numerator), int(q.denominator)
+
+
+def _integer_vector(values) -> Tuple[List[int], int]:
+    """The values times the lcm of their denominators, and that lcm."""
+    pairs = [_num_den(v) for v in values]
+    scale = lcm(*(d for _, d in pairs))
+    return [n * (scale // d) for n, d in pairs], scale
+
+
+def _reduce(row: List[int]) -> List[int]:
+    """Divide an integer row by the gcd of its entries (a positive factor)."""
+    g = gcd(*row)
+    if g > 1:
+        return [a // g for a in row]
+    return row
 
 
 def solve_lp(
@@ -47,183 +91,179 @@ def solve_lp(
     Returns an LPResult whose ``x`` is an optimal point over the original
     (free) variables when the status is "optimal".
     """
-    if not maximize:
-        res = solve_lp([-rat(c) for c in objective], constraints, n_vars, True)
-        if res.status == OPTIMAL:
-            res.objective = -res.objective
-        return res
-
     c_orig = [rat(c) for c in objective]
     if len(c_orig) != n_vars:
         raise ValueError("objective length does not match variable count")
 
-    n_split = 2 * n_vars
-    rows: List[List[Rat]] = []
+    rows: List[Tuple[List[int], int]] = []  # ([coeffs..., rhs], scale)
     rels: List[str] = []
-    rhss: List[Rat] = []
     for coeffs, rel, rhs in constraints:
         if len(coeffs) != n_vars:
             raise ValueError("constraint arity does not match variable count")
-        if rel not in (LE, GE, EQ):
+        if rel not in _FLIP:
             raise ValueError(f"unknown relation {rel!r}")
-        row = [rat(a) for a in coeffs]
-        b = rat(rhs)
-        if b < 0:
+        row, scale = _integer_vector([*coeffs, rhs])
+        if row[-1] < 0:
             row = [-a for a in row]
-            b = -b
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        rows.append(row + [-a for a in row])  # u block then v block
+            rel = _FLIP[rel]
+        rows.append((row, scale))
         rels.append(rel)
-        rhss.append(b)
 
-    m = len(rows)
+    n_split = 2 * n_vars
     n_slack = sum(1 for r in rels if r != EQ)
-    art_rows = [i for i, r in enumerate(rels) if r != LE]
-    n_art = len(art_rows)
-    width = n_split + n_slack + n_art + 1  # final column is rhs
-
-    tableau: List[List[Rat]] = []
-    basis: List[int] = []
-    zero = rat(0)
-    one = rat(1)
-    slack_at = 0
-    art_at = 0
-    for i in range(m):
-        row = rows[i] + [zero] * (n_slack + n_art) + [rhss[i]]
-        if rels[i] != EQ:
-            col = n_split + slack_at
-            row[col] = one if rels[i] == LE else -one
-            slack_at += 1
-            if rels[i] == LE:
-                basis.append(col)
-        if rels[i] != LE:
-            col = n_split + n_slack + art_at
-            row[col] = one
-            art_at += 1
-            basis.append(col)
-        tableau.append(row)
-
     art_start = n_split + n_slack
+    n_art = len(rels) - rels.count(LE)
+
+    # Each tableau row is its scaled constraint row, so the unit slack and
+    # artificial entries become the row's scale.
+    tableau: List[List[int]] = []
+    basis: List[int] = []
+    slack_at = n_split
+    art_at = art_start
+    for (row, scale), rel in zip(rows, rels):
+        coeffs = row[:-1]
+        t_row = coeffs + [-a for a in coeffs] + [0] * (n_slack + n_art) + row[-1:]
+        if rel != EQ:
+            t_row[slack_at] = scale if rel == LE else -scale
+            if rel == LE:
+                basis.append(slack_at)
+            slack_at += 1
+        if rel != LE:
+            t_row[art_at] = scale
+            basis.append(art_at)
+            art_at += 1
+        tableau.append(_reduce(t_row))
+
+    pivots = 0
 
     # ---- phase 1: maximize -(sum of artificials) ----
     if n_art:
-        cost1 = [zero] * (width - 1)
-        for j in range(art_start, width - 1):
-            cost1[j] = -one
+        cost1 = [0] * art_start + [-1] * n_art
         z_row = _initial_z_row(tableau, basis, cost1)
-        status = _pivot_loop(tableau, basis, z_row, width)
+        status, pivots = _pivot_loop(tableau, basis, z_row)
         if status == UNBOUNDED:  # cannot happen: objective bounded above by 0
             raise AssertionError("phase 1 reported unbounded")
-        if z_row[-1] != 0:  # value of max(-sum art) stored as -z_rhs
-            # z_row[-1] holds sum(c_B * rhs); nonzero means artificials remain
-            return LPResult(INFEASIBLE, None, None)
-        _drive_out_artificials(tableau, basis, art_start, width)
-        # drop artificial columns
-        for i in range(len(tableau)):
-            tableau[i] = tableau[i][:art_start] + [tableau[i][-1]]
-        width = art_start + 1
+        if z_row[-1] != 0:  # a positive multiple of -(sum of artificials)
+            return LPResult(INFEASIBLE, None, None, pivots)
+        pivots += _drive_out_artificials(tableau, basis, art_start)
+        tableau[:] = [_reduce(row[:art_start] + row[-1:]) for row in tableau]
 
     # ---- phase 2 ----
-    cost2 = [zero] * (width - 1)
-    for i in range(n_vars):
-        cost2[i] = c_orig[i]
-        cost2[n_vars + i] = -c_orig[i]
+    c_int, _ = _integer_vector(c_orig if maximize else [-c for c in c_orig])
+    cost2 = c_int + [-c for c in c_int] + [0] * n_slack
     z_row = _initial_z_row(tableau, basis, cost2)
-    status = _pivot_loop(tableau, basis, z_row, width)
+    status, phase2_pivots = _pivot_loop(tableau, basis, z_row)
+    pivots += phase2_pivots
     if status == UNBOUNDED:
-        return LPResult(UNBOUNDED, None, None)
+        return LPResult(UNBOUNDED, None, None, pivots)
 
-    values = [zero] * (width - 1)
-    for i, b in enumerate(basis):
-        values[b] = tableau[i][-1]
+    zero = rat(0)
+    values = [zero] * art_start  # no artificial is basic any more
+    for row, b in zip(tableau, basis):
+        values[b] = Rat(row[-1], row[b])
     x = [values[i] - values[n_vars + i] for i in range(n_vars)]
     objective_value = sum((ci * xi for ci, xi in zip(c_orig, x)), zero)
-    return LPResult(OPTIMAL, objective_value, x)
+    return LPResult(OPTIMAL, objective_value, x, pivots)
 
 
-def _initial_z_row(tableau, basis, cost) -> List[Rat]:
-    """z_row[j] = sum_i cost[basis_i] * T[i][j] - cost[j]; rhs cell holds value."""
-    width = len(tableau[0])
-    zero = rat(0)
-    z = [zero] * width
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb == 0:
-            continue
-        row = tableau[i]
-        for j in range(width):
-            if row[j] != 0:
-                z[j] += cb * row[j]
-    for j in range(width - 1):
-        z[j] -= cost[j]
-    return z
+def _initial_z_row(tableau, basis, cost) -> List[int]:
+    """A positive multiple of z[j] = sum_i cost[basis_i] * T[i][j] - cost[j].
+
+    T[i] is tableau[i] / tableau[i][basis_i]; the rhs cell holds the value.
+    """
+    terms = [(cost[b], row, row[b]) for row, b in zip(tableau, basis) if cost[b]]
+    scale = lcm(*(d for _, _, d in terms))
+    z = [-scale * c for c in cost] + [0]
+    for cb, row, d in terms:
+        f = cb * (scale // d)
+        z = [a + f * b for a, b in zip(z, row)]
+    return _reduce(z)
 
 
-def _pivot_loop(tableau, basis, z_row, width) -> str:
-    """Bland-rule pivoting until optimal or unbounded."""
-    m = len(tableau)
+def _pivot_loop(tableau, basis, z_row) -> Tuple[str, int]:
+    """Bland-rule pivoting until optimal or unbounded; also the pivots made.
+
+    The z-row is updated in place.
+    """
+    n_cols = len(z_row) - 1
+    pivots = 0
     while True:
         enter = -1
-        for j in range(width - 1):
-            if z_row[j] < 0 and j not in basis:
+        for j in range(n_cols):
+            if z_row[j] < 0:  # basic columns hold an exact 0
                 enter = j
                 break
         if enter < 0:
-            return OPTIMAL
+            return OPTIMAL, pivots
+        # leave on the least rhs/a over a > 0; ties to the least basic index
         leave_row = -1
-        best_ratio = None
-        for i in range(m):
-            a = tableau[i][enter]
+        for i, row in enumerate(tableau):
+            a = row[enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave_row])
-                ):
-                    best_ratio = ratio
-                    leave_row = i
+                if leave_row < 0:
+                    leave_row, best_rhs, best_a = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * best_a, best_rhs * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave_row]):
+                    leave_row, best_rhs, best_a = i, row[-1], a
         if leave_row < 0:
-            return UNBOUNDED
-        _pivot(tableau, basis, z_row, leave_row, enter)
+            return UNBOUNDED, pivots
+        z_row[:] = _pivot(tableau, basis, leave_row, enter, z_row)
+        pivots += 1
 
 
-def _pivot(tableau, basis, z_row, row_i, col_j) -> None:
+def _pivot(tableau, basis, row_i, col_j, z_row=None) -> Optional[List[int]]:
+    """Make col_j basic in row_i, whose entry there must be positive.
+
+    Every other row, and the z-row, becomes ``p*row - row[col_j]*pivot_row``
+    over the pivot row's nonzero cells, reduced by its gcd; the updated
+    z-row is returned.
+    """
     pivot_row = tableau[row_i]
-    piv = pivot_row[col_j]
-    if piv == 0:
-        raise AssertionError("zero pivot")
-    inv = 1 / piv
-    tableau[row_i] = pivot_row = [a * inv for a in pivot_row]
+    p = pivot_row[col_j]
+    if p <= 0:
+        raise AssertionError("pivot entry must be positive")
+    nonzero = [(j, b) for j, b in enumerate(pivot_row) if b]
+
+    def eliminate(row):
+        f = row[col_j]
+        if not f:
+            return row
+        new = row[:] if p == 1 else [p * a for a in row]
+        for j, b in nonzero:
+            new[j] -= f * b
+        return _reduce(new)
+
     for i, row in enumerate(tableau):
-        if i == row_i:
-            continue
-        factor = row[col_j]
-        if factor != 0:
-            tableau[i] = [a - factor * b for a, b in zip(row, pivot_row)]
-    factor = z_row[col_j]
-    if factor != 0:
-        for j in range(len(z_row)):
-            z_row[j] -= factor * pivot_row[j]
+        if i != row_i:
+            tableau[i] = eliminate(row)
     basis[row_i] = col_j
+    return None if z_row is None else eliminate(z_row)
 
 
-def _drive_out_artificials(tableau, basis, art_start, width) -> None:
-    """Pivot zero-valued basic artificials onto structural columns."""
+def _drive_out_artificials(tableau, basis, art_start) -> int:
+    """Pivot zero-valued basic artificials onto structural columns.
+
+    Returns the number of pivots made.
+    """
+    pivots = 0
     removable = []
-    for i in range(len(tableau)):
+    for i, row in enumerate(tableau):
         if basis[i] < art_start:
             continue
         pivot_col = -1
         for j in range(art_start):
-            if tableau[i][j] != 0:
+            if row[j] != 0:
                 pivot_col = j
                 break
         if pivot_col >= 0:
-            dummy_z = [rat(0)] * width
-            _pivot(tableau, basis, dummy_z, i, pivot_col)
+            if row[pivot_col] < 0:  # the rhs is 0, so negating keeps it
+                tableau[i] = [-a for a in row]
+            _pivot(tableau, basis, i, pivot_col)
+            pivots += 1
         else:
             removable.append(i)  # redundant row (all structural coeffs zero)
     for i in reversed(removable):
         del tableau[i]
         del basis[i]
+    return pivots

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import ratlp
@@ -52,14 +52,11 @@ class SweepStats:
     regions_explored: int = 0
     regions_infeasible: int = 0
     leaves: int = 0
+    pivots: int = 0  # simplex pivots summed over every LP call
 
     def merge(self, other: "SweepStats") -> None:
-        self.nodes += other.nodes
-        self.lp_calls += other.lp_calls
-        self.regions_total += other.regions_total
-        self.regions_explored += other.regions_explored
-        self.regions_infeasible += other.regions_infeasible
-        self.leaves += other.leaves
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass
@@ -83,12 +80,7 @@ class L0Report:
             "sought": sorted(self.sought),
             "certified_absent": self.certified_absent,
             "exhaustive": self.exhaustive,
-            "stats": {
-                "nodes": self.stats.nodes,
-                "lp_calls": self.stats.lp_calls,
-                "regions_total": self.stats.regions_total,
-                "regions_explored": self.stats.regions_explored,
-            },
+            "stats": asdict(self.stats),
         }
 
 
@@ -330,6 +322,12 @@ def _explore_region(
 
     base_rows = region_rows()
 
+    def lp(rows) -> ratlp.LPResult:
+        stats.lp_calls += 1
+        res = ratlp.solve_lp(objective, rows, n_vars)
+        stats.pivots += res.pivots
+        return res
+
     def solve(zero_entries, pos_entries, open_entries):
         rows = list(base_rows)
         for _, const, items in zero_entries:
@@ -339,8 +337,7 @@ def _explore_region(
         if comp.orthant:
             for _, const, items in open_entries:
                 rows.append((_row(items, n_vars, pos_of, rat(0)), ratlp.GE, -const))
-        stats.lp_calls += 1
-        res = ratlp.solve_lp(objective, rows, n_vars)
+        res = lp(rows)
         if res.status == ratlp.OPTIMAL and res.objective > 0:
             return res.x[:-1]
         return None
@@ -374,8 +371,7 @@ def _explore_region(
         """Non-orthant leaf: branch the signs of the nonzero forms."""
 
         def rec(pos_idx, rows):
-            stats.lp_calls += 1
-            res = ratlp.solve_lp(objective, rows, n_vars)
+            res = lp(rows)
             if res.status != ratlp.OPTIMAL or res.objective <= 0:
                 return None
             if pos_idx == len(pos_entries):
@@ -426,11 +422,10 @@ def _explore_region(
                     dfs(zeros + [head], positives, rest, child)
             else:
                 # cheap consistency check only; exact test happens at the leaf
-                stats.lp_calls += 1
                 rows = list(base_rows)
                 for _, const, items in zeros + [head]:
                     rows.append((_row(items, n_vars, pos_of, rat(0)), ratlp.EQ, -const))
-                res = ratlp.solve_lp(objective, rows, n_vars)
+                res = lp(rows)
                 if res.status == ratlp.OPTIMAL and res.objective > 0:
                     dfs(zeros + [head], positives, rest, None)
 

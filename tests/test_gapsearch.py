@@ -2,6 +2,7 @@
 
 import pytest
 
+from invsp import ratlp
 from invsp.affinefamily import build_coefficient_family
 from invsp.construct import basic_poly_closed
 from invsp.gapsearch import (
@@ -211,6 +212,31 @@ class TestSweepEngineEdges:
         fam = build_coefficient_family(G7, 3, "signed")
         rep = run_l0_sweep(fam, skip_all_zero=True)
         assert sorted(rep.achievable) == [29, 30]
+
+    @pytest.mark.parametrize("orthant", [True, False])
+    def test_stats_count_every_lp_call_and_pivot(self, orthant, monkeypatch):
+        seen = {"calls": 0, "pivots": 0}
+        solve_lp = ratlp.solve_lp
+
+        def counting(*args, **kwargs):
+            res = solve_lp(*args, **kwargs)
+            seen["calls"] += 1
+            seen["pivots"] += res.pivots
+            return res
+
+        monkeypatch.setattr(ratlp, "solve_lp", counting)
+        fam = build_coefficient_family(GroupSpec.scalar(2, 2), 2, "signed")
+        rep = run_l0_sweep(fam, orthant=orthant)
+        assert rep.stats.lp_calls == seen["calls"] > 0
+        assert rep.stats.pivots == seen["pivots"] > 0
+        stats = rep.to_json_dict()["stats"]
+        assert set(stats) == {"nodes", "lp_calls", "regions_total", "regions_explored",
+                              "regions_infeasible", "leaves", "pivots"}
+        assert stats["pivots"] == seen["pivots"]
+
+    def test_achievability_json_reports_pivots(self):
+        rep = achievable_set(G7, 10, "signed")
+        assert rep.to_json_dict()["stats"]["pivots"] == rep.stats.pivots > 0
 
 
 class TestUnconditionalScope:

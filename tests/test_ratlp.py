@@ -1,11 +1,17 @@
-"""Exact rational simplex: unit cases plus a float cross-check."""
+"""Exact rational simplex: unit cases, recorded vertices, a float cross-check."""
+
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import invsp.rat
 from invsp import ratlp
 from invsp.rat import rat
+
+from conftest import rationals
 
 
 def solve(c, rows, n, maximize=True):
@@ -87,12 +93,96 @@ class TestBasics:
         assert res.status == ratlp.OPTIMAL
         assert res.objective == rat(1, 20)
 
+    def test_results_are_backend_rationals(self):
+        res = solve([rat(1, 2), 3], [row([1, 0], "<=", rat(5, 3)),
+                                     row([0, 1], "<=", rat(-1, 4))], 2)
+        assert res.status == ratlp.OPTIMAL
+        assert isinstance(res.objective, invsp.rat.Rat)
+        assert all(isinstance(v, invsp.rat.Rat) for v in res.x)
+        assert res.x == [rat(5, 3), rat(-1, 4)] and res.objective == rat(1, 12)
+        assert res.pivots > 0
+
+    def test_rat_module_is_not_shadowed(self):
+        assert isinstance(invsp.rat.HAVE_GMPY2, bool)
+
+    def test_redundant_equalities(self, monkeypatch):
+        """Drive-out pivots on a negative entry and drops all-zero rows."""
+        seen = {"negative": 0, "removed": 0}
+        drive_out = ratlp._drive_out_artificials
+
+        def spy(tableau, basis, art_start):
+            for r, b in zip(tableau, basis):
+                structural = [a for a in r[:art_start] if a]
+                if b >= art_start and structural and structural[0] < 0:
+                    seen["negative"] += 1
+            before = len(tableau)
+            pivots = drive_out(tableau, basis, art_start)
+            seen["removed"] += before - len(tableau)
+            return pivots
+
+        monkeypatch.setattr(ratlp, "_drive_out_artificials", spy)
+        cap = row([1, 0], "<=", 3)
+        res = solve([1, 0], [row([1, 1], "==", 1), row([2, 2], "==", 2),
+                             row([-1, -1], "==", -1), cap], 2)
+        assert res.status == ratlp.OPTIMAL
+        assert res.objective == 3 and res.x == [rat(3), rat(-2)]
+        res = solve([1, 0], [row([-1, -1], "==", 0), row([1, 1], "==", 0), cap], 2)
+        assert res.status == ratlp.OPTIMAL
+        assert res.objective == 3 and res.x == [rat(3), rat(-3)]
+        assert seen["negative"] >= 1 and seen["removed"] >= 3
+
+
+def test_recorded_vertices():
+    """Sweep LPs recorded with a Fraction tableau under the same Bland rule.
+
+    Most were picked because another entering rule reaches another optimal
+    vertex on them, so they pin the pivot sequence, not just the optimum;
+    a few infeasible ones cover phase 1.
+    """
+    path = Path(__file__).parent / "fixtures" / "lp_vertices.json"
+    for case in json.loads(path.read_text()):
+        rows = [([rat(a) for a in coeffs], rel, rat(rhs)) for coeffs, rel, rhs in case["rows"]]
+        res = ratlp.solve_lp(
+            [rat(c) for c in case["objective"]], rows, case["n_vars"], case["maximize"]
+        )
+        expect = case["expect"]
+        assert res.status == expect["status"]
+        if expect["objective"] is None:
+            assert res.objective is None and res.x is None
+        else:
+            assert res.objective == rat(expect["objective"])
+            assert res.x == [rat(v) for v in expect["x"]]
+
+
+def _float_reference(c, rows, n, maximize):
+    """Status and optimum of scipy.optimize.linprog on the same problem."""
+    scipy = pytest.importorskip("scipy.optimize")
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for coeffs, rel, rhs in rows:
+        fl = [float(x) for x in coeffs]
+        if rel == "==":
+            a_eq.append(fl)
+            b_eq.append(float(rhs))
+        elif rel == "<=":
+            a_ub.append(fl)
+            b_ub.append(float(rhs))
+        else:
+            a_ub.append([-x for x in fl])
+            b_ub.append(-float(rhs))
+    sign = -1 if maximize else 1  # linprog minimizes
+    ref = scipy.linprog(
+        [sign * float(x) for x in c],
+        A_ub=a_ub or None, b_ub=b_ub or None,
+        A_eq=a_eq or None, b_eq=b_eq or None,
+        bounds=[(None, None)] * n,
+    )
+    return ref.status, (sign * ref.fun if ref.status == 0 else None)
+
 
 class TestAgainstFloatSolver:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_random_bounded_lps(self, data):
-        scipy = pytest.importorskip("scipy.optimize")
         n = data.draw(st.integers(1, 4))
         m = data.draw(st.integers(1, 5))
         c = [data.draw(st.integers(-5, 5)) for _ in range(n)]
@@ -108,21 +198,47 @@ class TestAgainstFloatSolver:
             rows.append(row(unit, "<=", 10))
             rows.append(row(unit, ">=", -10))
         res = solve(c, rows, n)
-        a_ub = []
-        b_ub = []
-        for coeffs, rel, rhs in rows:
-            if rel == "<=":
-                a_ub.append([float(x) for x in coeffs])
-                b_ub.append(float(rhs))
-            else:
-                a_ub.append([-float(x) for x in coeffs])
-                b_ub.append(-float(rhs))
-        ref = scipy.linprog(
-            [-float(x) for x in c], A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * n
-        )
+        ref_status, ref_value = _float_reference(c, rows, n, True)
         if res.status == ratlp.INFEASIBLE:
-            assert ref.status == 2
+            assert ref_status == 2
         else:
             assert res.status == ratlp.OPTIMAL
-            assert ref.status == 0
-            assert abs(float(res.objective) - (-ref.fun)) < 1e-6
+            assert ref_status == 0
+            assert abs(float(res.objective) - ref_value) < 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_rational_lps(self, data):
+        """Rational coefficients and rhs, == rows, and minimization."""
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 5))
+        maximize = data.draw(st.booleans())
+        c = [data.draw(rationals(4, 5)) for _ in range(n)]
+        # equality rows pass through x0 half of the time, so that == rows
+        # do not make almost every instance infeasible
+        x0 = [data.draw(rationals(3, 3)) for _ in range(n)]
+        rows = []
+        for _ in range(m):
+            coeffs = [data.draw(rationals(4, 5)) for _ in range(n)]
+            rel = data.draw(st.sampled_from(["<=", ">=", "=="]))
+            if rel == "==" and data.draw(st.booleans()):
+                rhs = sum((a * x for a, x in zip(coeffs, x0)), rat(0))
+            else:
+                rhs = data.draw(rationals(6, 4))
+            rows.append((coeffs, rel, rhs))
+        for i in range(n):
+            unit = [rat(0)] * n
+            unit[i] = rat(1)
+            rows.append((unit, "<=", rat(10)))
+            rows.append((list(unit), ">=", rat(-10)))
+        res = solve(c, rows, n, maximize)
+        ref_status, ref_value = _float_reference(c, rows, n, maximize)
+        if res.status == ratlp.INFEASIBLE:
+            assert ref_status == 2
+            return
+        assert res.status == ratlp.OPTIMAL and ref_status == 0
+        for coeffs, rel, rhs in rows:
+            lhs = sum((a * x for a, x in zip(coeffs, res.x)), rat(0))
+            assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[rel]
+        assert res.objective == sum((a * x for a, x in zip(c, res.x)), rat(0))
+        assert abs(float(res.objective) - ref_value) < 1e-6

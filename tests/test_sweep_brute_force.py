@@ -6,10 +6,14 @@ single-pattern LP oracle about all 2^n zero sets and collect the counts.
 The sweep must produce exactly the same value set, in both the orthant
 (strictly positive rest) and free-sign regimes.  A sampling pass then
 confirms that randomly instantiated points never realize a value the
-sweep failed to report.
+sweep failed to report.  Last, the exact witness points of the cubic
+scalar family are pinned to a fixture: the LP follows a fixed pivot rule,
+so any change to the LP layer must reproduce them bit for bit.
 """
 
+import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -69,3 +73,16 @@ def test_random_points_never_beat_the_sweep(data):
     point = {p.name: data.draw(rationals(nonneg=False)) for p in fam.params}
     count = sum(1 for v in fam.evaluate_slots(point) if v != 0)
     assert count in rep.achievable
+
+
+WITNESSES = json.loads(
+    (Path(__file__).parent / "fixtures" / "sparsity_cubic_witnesses.json").read_text()
+)
+
+
+@pytest.mark.parametrize("orthant", [True, False])
+def test_cubic_scalar_witnesses_are_pinned(orthant):
+    fam = build_coefficient_family(GroupSpec.scalar(3, 2), 3, "signed")
+    rep = run_l0_sweep(fam, orthant=orthant)
+    expected = WITNESSES["orthant" if orthant else "free_sign"]
+    assert rep.to_json_dict()["achievable"] == expected

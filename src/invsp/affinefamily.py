@@ -453,29 +453,45 @@ def l0_range(fam: AffineFamily, **kwargs):
 # -- pattern feasibility ------------------------------------------------------
 
 
-def _bound_rows(fam: AffineFamily, n: int, orthant: bool):
-    """Constraint rows for declared parameter bounds (vars: params + t)."""
-    rows = []
-    for i, p in enumerate(fam.params):
-        lo = p.effective_lo(orthant)
-        if lo is not None:
-            coeffs = [rat(0)] * n
-            coeffs[i] = rat(1)
-            rows.append((coeffs, ratlp.GE, lo))
-        if p.hi is not None:
-            coeffs = [rat(0)] * n
-            coeffs[i] = rat(1)
-            rows.append((coeffs, ratlp.LE, p.hi))
-    return rows
+def lp_row(items, n: int, t_coeff=0) -> List[Rat]:
+    """LP coefficients over ``n`` columns from (column, weight) pairs.
 
-
-def _form_row(form: LinearForm, index: Dict[str, int], n: int, t_coeff: Rat):
+    The last column is the shared slack t; it gets ``t_coeff``.
+    """
     coeffs = [rat(0)] * n
-    for name, w in form.weights.items():
-        coeffs[index[name]] = w
-    if t_coeff != 0:
-        coeffs[n - 1] = t_coeff
+    for col, w in items:
+        coeffs[col] = w
+    coeffs[-1] = rat(t_coeff)
     return coeffs
+
+
+def nonzero_point(lp, rows, forms, n: int) -> Optional[List[Rat]]:
+    """A point of ``rows`` with slack t > 0 where every form is nonzero.
+
+    ``lp`` maps a row list to the :class:`~invsp.ratlp.LPResult` of
+    maximizing t.  ``forms`` holds (items, const) pairs, items being
+    (column, weight) pairs over the ``n`` columns.  The sign of each form
+    is branched in turn, ``form >= t`` before ``-form >= t``, depth first;
+    the LP vertex of the first branch that keeps t positive down to the
+    last form is returned (t included), or None when no branch does.
+    """
+
+    def rec(k: int, rows):
+        res = lp(rows)
+        if res.status != ratlp.OPTIMAL or res.objective <= 0:
+            return None
+        if k == len(forms):
+            return res.x
+        items, const = forms[k]
+        plus = (lp_row(items, n, -1), ratlp.GE, -const)
+        minus = (lp_row([(c, -w) for c, w in items], n, -1), ratlp.GE, const)
+        for row in (plus, minus):
+            hit = rec(k + 1, rows + [row])
+            if hit is not None:
+                return hit
+        return None
+
+    return rec(0, list(rows))
 
 
 def pattern_feasible(
@@ -496,53 +512,32 @@ def pattern_feasible(
         raise ValueError("zero_set index out of range")
     n = len(fam.params) + 1  # parameters plus the slack t
     index = {p.name: i for i, p in enumerate(fam.params)}
-    objective = [rat(0)] * n
-    objective[n - 1] = rat(1)
+    objective = lp_row((), n, 1)
 
-    base_rows = list(_bound_rows(fam, n, orthant))
-    cap = [rat(0)] * n
-    cap[n - 1] = rat(1)
-    base_rows.append((cap, ratlp.LE, rat(1)))
+    def items(i: int):
+        return [(index[name], w) for name, w in fam.slots[i].form.weights.items()]
+
+    base_rows = []
+    for i, p in enumerate(fam.params):
+        lo = p.effective_lo(orthant)
+        if lo is not None:
+            base_rows.append((lp_row([(i, rat(1))], n), ratlp.GE, lo))
+        if p.hi is not None:
+            base_rows.append((lp_row([(i, rat(1))], n), ratlp.LE, p.hi))
+    base_rows.append((lp_row((), n, 1), ratlp.LE, rat(1)))
     for i in zset:
-        base_rows.append((_form_row(fam.slots[i].form, index, n, rat(0)), ratlp.EQ,
-                          -fam.slots[i].form.const))
+        base_rows.append((lp_row(items(i), n), ratlp.EQ, -fam.slots[i].form.const))
 
-    others = [i for i in range(len(fam.slots)) if i not in zset]
-
-    def finish(x):
-        witness = {p.name: x[i] for i, p in enumerate(fam.params)}
-        return PatternResult(zset, True, witness, len(fam.slots) - len(zset))
-
-    if orthant:
-        rows = list(base_rows)
-        for i in others:
-            form = fam.slots[i].form
-            rows.append((_form_row(form, index, n, rat(-1)), ratlp.GE, -form.const))
-        res = ratlp.solve_lp(objective, rows, n)
-        if res.status == ratlp.OPTIMAL and res.objective > 0:
-            return finish(res.x)
-        return PatternResult(zset, False, None, None)
-
-    # signed slots: branch over the sign of each nonzero slot
-    def search(pos: int, rows) -> Optional[List[Rat]]:
-        res = ratlp.solve_lp(objective, rows, n)
-        if res.status != ratlp.OPTIMAL or res.objective <= 0:
-            return None
-        if pos == len(others):
-            return res.x
-        form = fam.slots[others[pos]].form
-        for sign in (1, -1):
-            coeffs = _form_row(form, index, n, rat(-1))
-            if sign > 0:
-                row = (coeffs, ratlp.GE, -form.const)
-            else:
-                row = ([-c for c in coeffs[:-1]] + [rat(-1)], ratlp.GE, form.const)
-            hit = search(pos + 1, rows + [row])
-            if hit is not None:
-                return hit
-        return None
-
-    x = search(0, list(base_rows))
+    forms = [
+        (items(i), fam.slots[i].form.const)
+        for i in range(len(fam.slots))
+        if i not in zset
+    ]
+    if orthant:  # every other slot strictly positive: a single LP
+        base_rows += [(lp_row(it, n, -1), ratlp.GE, -const) for it, const in forms]
+        forms = []
+    x = nonzero_point(lambda rows: ratlp.solve_lp(objective, rows, n), base_rows, forms, n)
     if x is None:
         return PatternResult(zset, False, None, None)
-    return finish(x)
+    witness = {p.name: x[i] for i, p in enumerate(fam.params)}
+    return PatternResult(zset, True, witness, len(fam.slots) - len(zset))

@@ -6,7 +6,6 @@ Subcommands:
 * ``tensor``       apply G = F - H + H*F and validate the result
 * ``validate``     check the defining properties of a polynomial
 * ``family``       build / instantiate / sweep an affine coefficient family
-* ``l0range``      sparsity sweep of a family file (alias of family l0range)
 * ``gaps``         achievability / gap report for a group up to a degree
 * ``closure``      postage-stamp closure of a base of witnessed values
 * ``verify-paper`` run the complete fixture and theorem ledger
@@ -511,20 +510,18 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--point", required=True, help="JSON object or file of parameter values")
     common(i)
     i.set_defaults(func=cmd_family)
-    l = fam_sub.add_parser("l0range")
-    _l0range_args(l)
+    l = fam_sub.add_parser("l0range", help="sparsity sweep of a family file")
+    l.add_argument("--family", required=True, help="family JSON file")
+    l.add_argument("--targets")
+    l.add_argument("--orthant", action="store_true")
+    l.add_argument("--no-orthant", action="store_true")
+    l.add_argument("--budget", type=int)
     common(l)
     l.set_defaults(func=cmd_family)
-
-    p = sub.add_parser("l0range", help="sparsity sweep of a family file")
-    _l0range_args(p)
-    common(p)
-    p.set_defaults(func=lambda a: _run_l0range(AffineFamily.from_json_dict(_load_json_file(a.family)), a))
 
     p = sub.add_parser("gaps", help="achievable term counts and gaps for a group")
     p.add_argument("--group", required=True)
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--signed", action="store_true", help="H coefficients free (default)")
     p.add_argument("--nonneg-h", action="store_true", help="restrict H to nonnegative coefficients")
     p.add_argument("--targets", help="comma list / ranges, e.g. 31,35,36 or 18-28")
     p.add_argument("--value-cap", type=int)
@@ -565,14 +562,6 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-def _l0range_args(p):
-    p.add_argument("--family", required=True, help="family JSON file")
-    p.add_argument("--targets")
-    p.add_argument("--orthant", action="store_true")
-    p.add_argument("--no-orthant", action="store_true")
-    p.add_argument("--budget", type=int)
 
 
 if __name__ == "__main__":

@@ -20,24 +20,27 @@ Structure of the search, mirroring a by-hand case analysis:
 4. An order-3 variable rotation, when the family is symmetric under it,
    cuts the region lattice by up to a factor of three.
 
-Budgets are counted in search nodes and sliced deterministically per
-region, so reports are reproducible and independent of worker count.
+One budget bounds the whole sweep: every node of the sign lattice and
+every search node inside a region costs one unit.  Regions are settled in
+the lattice walk's order, and the sweep stops, marked non-exhaustive, where
+the budget runs out.  Worker processes only explore regions ahead of that
+order, so reports are reproducible and independent of worker count.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import ratlp
-from .affinefamily import AffineFamily
+from .affinefamily import AffineFamily, lp_row, nonzero_point
 from .rat import Rat, rat
 
 DEFAULT_BUDGET = 200_000
-REGION_ENUM_LIMIT = 200_000
-REGION_NODE_FLOOR = 50_000
 
 _POS_CHOICES = (0, 1)
 _FULL_CHOICES = (0, 1, -1)
@@ -104,7 +107,6 @@ class _Compiled:
     """Family flattened to integer-indexed arrays for the search loops."""
 
     def __init__(self, fam: AffineFamily, orthant: bool):
-        self.fam = fam
         self.orthant = orthant
         self.names = [p.name for p in fam.params]
         index = {n: i for i, n in enumerate(self.names)}
@@ -296,31 +298,28 @@ def _explore_region(
 
     n_vars = len(support) + 1  # support parameters plus slack t
     pos_of = {p: k for k, p in enumerate(support)}
-    objective = [rat(0)] * n_vars
-    objective[-1] = rat(1)
+    objective = lp_row((), n_vars, 1)
 
-    def region_rows():
-        rows = []
-        for p in support:
-            lo, hi, _, _ = boxes[p]
-            unit = [rat(0)] * n_vars
-            unit[pos_of[p]] = rat(1)
-            if lo is not None:
-                rows.append((list(unit), ratlp.GE, lo))
-            if hi is not None:
-                rows.append((list(unit), ratlp.LE, hi))
-            strict = [rat(0)] * n_vars
-            strict[pos_of[p]] = rat(1) if sigma[p] > 0 else rat(-1)
-            strict[-1] = rat(-1)
-            rows.append((strict, ratlp.GE, rat(0)))
-        cap_row = [rat(0)] * n_vars
-        cap_row[-1] = rat(1)
-        rows.append((cap_row, ratlp.LE, rat(1)))
-        for _, const, items in forced_zero:
-            rows.append((_row(items, n_vars, pos_of, rat(0)), ratlp.EQ, -const))
-        return rows
+    def cols(items):
+        return [(pos_of[p], w) for p, w in items]
 
-    base_rows = region_rows()
+    def zero_rows(entries):
+        return [
+            (lp_row(cols(items), n_vars), ratlp.EQ, -const) for _, const, items in entries
+        ]
+
+    base_rows = []
+    for p in support:
+        lo, hi, _, _ = boxes[p]
+        unit = [(pos_of[p], rat(1))]
+        if lo is not None:
+            base_rows.append((lp_row(unit, n_vars), ratlp.GE, lo))
+        if hi is not None:
+            base_rows.append((lp_row(unit, n_vars), ratlp.LE, hi))
+        strict = [(pos_of[p], rat(1) if sigma[p] > 0 else rat(-1))]
+        base_rows.append((lp_row(strict, n_vars, -1), ratlp.GE, rat(0)))
+    base_rows.append((lp_row((), n_vars, 1), ratlp.LE, rat(1)))
+    base_rows += zero_rows(forced_zero)
 
     def lp(rows) -> ratlp.LPResult:
         stats.lp_calls += 1
@@ -328,19 +327,21 @@ def _explore_region(
         stats.pivots += res.pivots
         return res
 
-    def solve(zero_entries, pos_entries, open_entries):
-        rows = list(base_rows)
-        for _, const, items in zero_entries:
-            rows.append((_row(items, n_vars, pos_of, rat(0)), ratlp.EQ, -const))
-        for _, const, items in pos_entries:
-            rows.append((_row(items, n_vars, pos_of, rat(-1)), ratlp.GE, -const))
-        if comp.orthant:
-            for _, const, items in open_entries:
-                rows.append((_row(items, n_vars, pos_of, rat(0)), ratlp.GE, -const))
-        res = lp(rows)
-        if res.status == ratlp.OPTIMAL and res.objective > 0:
-            return res.x[:-1]
-        return None
+    def solve(zero_entries, nonzero_entries, open_entries=()):
+        """A region point where exactly the zero entries vanish, or None.
+
+        On the orthant the nonzero entries must be positive and the open
+        ones nonnegative; otherwise the nonzero entries take either sign.
+        """
+        rows = base_rows + zero_rows(zero_entries)
+        forms = [(cols(items), const) for _, const, items in nonzero_entries]
+        if comp.orthant:  # nonzero means positive: no sign to branch on
+            rows += [(lp_row(it, n_vars, -1), ratlp.GE, -const) for it, const in forms]
+            forms = []
+        for _, const, items in open_entries:
+            rows.append((lp_row(cols(items), n_vars), ratlp.GE, -const))
+        x = nonzero_point(lp, rows, forms, n_vars)
+        return None if x is None else x[:-1]
 
     def eval_entry(entry, point) -> Rat:
         _, const, items = entry
@@ -363,34 +364,6 @@ def _explore_region(
         if budget[0] < 0:
             raise _BudgetExhausted
 
-    def leaf_sign_ok(entry, point) -> bool:
-        value = eval_entry(entry, point)
-        return value > 0 if comp.orthant else value != 0
-
-    def signed_leaf_check(zero_entries, pos_entries):
-        """Non-orthant leaf: branch the signs of the nonzero forms."""
-
-        def rec(pos_idx, rows):
-            res = lp(rows)
-            if res.status != ratlp.OPTIMAL or res.objective <= 0:
-                return None
-            if pos_idx == len(pos_entries):
-                return res.x[:-1]
-            _, const, items = pos_entries[pos_idx]
-            plus = (_row(items, n_vars, pos_of, rat(-1)), ratlp.GE, -const)
-            minus_coeffs = _row(items, n_vars, pos_of, rat(0))
-            minus = ([-c for c in minus_coeffs[:-1]] + [rat(-1)], ratlp.GE, const)
-            for row in (plus, minus):
-                hit = rec(pos_idx + 1, rows + [row])
-                if hit is not None:
-                    return hit
-            return None
-
-        rows = list(base_rows)
-        for _, const, items in zero_entries:
-            rows.append((_row(items, n_vars, pos_of, rat(0)), ratlp.EQ, -const))
-        return rec(0, rows)
-
     def dfs(zeros, positives, undecided, point):
         tick()
         lo_val = n_base + len(positives)
@@ -401,11 +374,7 @@ def _explore_region(
             stats.leaves += 1
             if lo_val in remaining:
                 if point is None or not comp.orthant:
-                    point = (
-                        signed_leaf_check(zeros, positives)
-                        if not comp.orthant
-                        else solve(zeros, positives, [])
-                    )
+                    point = solve(zeros, positives)
                 if point is not None:
                     found[lo_val] = full_point(point)
                     remaining.discard(lo_val)
@@ -415,19 +384,14 @@ def _explore_region(
         # zero branch
         if point is not None and eval_entry(head, point) == 0 and comp.orthant:
             dfs(zeros + [head], positives, rest, point)
+        elif comp.orthant:
+            child = solve(zeros + [head], positives, rest)
+            if child is not None:
+                dfs(zeros + [head], positives, rest, child)
         else:
-            child = solve(zeros + [head], positives, rest) if comp.orthant else None
-            if comp.orthant:
-                if child is not None:
-                    dfs(zeros + [head], positives, rest, child)
-            else:
-                # cheap consistency check only; exact test happens at the leaf
-                rows = list(base_rows)
-                for _, const, items in zeros + [head]:
-                    rows.append((_row(items, n_vars, pos_of, rat(0)), ratlp.EQ, -const))
-                res = lp(rows)
-                if res.status == ratlp.OPTIMAL and res.objective > 0:
-                    dfs(zeros + [head], positives, rest, None)
+            # cheap consistency check only; exact test happens at the leaf
+            if solve(zeros + [head], []) is not None:
+                dfs(zeros + [head], positives, rest, None)
 
         # nonzero branch
         if comp.orthant:
@@ -459,15 +423,7 @@ def _explore_region(
     return _RegionOutcome(found, complete, stats)
 
 
-def _row(items, n_vars, pos_of, t_coeff):
-    coeffs = [rat(0)] * n_vars
-    for p, w in items:
-        coeffs[pos_of[p]] = w
-    coeffs[-1] = t_coeff
-    return coeffs
-
-
-# -- region enumeration and the public sweep -------------------------------------
+# -- the sign-region walk and the public sweep -----------------------------------
 
 
 def _canonical(sigma: Tuple[int, ...], perm: Sequence[int]) -> bool:
@@ -492,9 +448,71 @@ def _region_ok(comp: _Compiled, sigma, h_degree_exact, skip_all_zero) -> bool:
     return True
 
 
-def _explore_block(args):
-    comp, sigmas, sought, cap = args
-    return [_explore_region(comp, sigma, sought, cap) for sigma in sigmas]
+def _walk(comp: _Compiled, perm, h_degree_exact, skip_all_zero, limit: int):
+    """Depth-first walk of the sign lattice, in ``itertools.product`` order.
+
+    Yields ``(sigma, ticks)`` for every region that passes
+    :func:`_region_ok` and, when ``perm`` is given, is canonical under it;
+    ``ticks`` counts the lattice nodes visited so far: the root, every
+    prefix, and sigma's own node.  A final ``(None, ticks)`` closes the
+    walk, which stops early once ``ticks`` exceeds ``limit``.
+    """
+    choices = comp.choices
+    n = len(choices)
+    idx = [0] * n
+    sigma = [ch[0] for ch in choices]
+    ticks = n + 1
+    while ticks <= limit:
+        tup = tuple(sigma)
+        if _region_ok(comp, tup, h_degree_exact, skip_all_zero) and (
+            perm is None or _canonical(tup, perm)
+        ):
+            yield tup, ticks
+        j = n - 1  # the deepest parameter with a sign left to try
+        while j >= 0 and idx[j] == len(choices[j]) - 1:
+            idx[j] = 0
+            sigma[j] = choices[j][0]
+            j -= 1
+        if j < 0:
+            break
+        idx[j] += 1
+        sigma[j] = choices[j][idx[j]]
+        ticks += n - j  # the new path's nodes for parameters j..n-1
+    yield None, ticks
+
+
+_CHUNK = 64  # regions per worker task; changes wall time only, never a report
+
+
+def _explore_chunk(comp: _Compiled, sought: FrozenSet[int], tasks):
+    return [_explore_region(comp, sigma, sought, cap) for sigma, cap in tasks]
+
+
+def _explored_ahead(walk, comp, sought, budget: int, jobs: int, stats: SweepStats):
+    """The walk's items, each region explored ahead of time by a worker.
+
+    Yields ``(sigma, ticks, outcome)``.  A region's worker cap is the budget
+    left when its chunk was sent, so it is never below the cap the region
+    gets in walk order; the caller settles any region that does not fit.
+    """
+    pool = ProcessPoolExecutor(jobs)
+    pending = deque()
+    try:
+        while True:
+            while len(pending) < 2 * jobs:
+                chunk = list(itertools.islice(walk, _CHUNK))
+                if not chunk:
+                    break
+                tasks = [(s, budget - t - stats.nodes) for s, t in chunk if s is not None]
+                pending.append((chunk, pool.submit(_explore_chunk, comp, sought, tasks)))
+            if not pending:
+                return
+            chunk, future = pending.popleft()
+            outcomes = iter(future.result())
+            for sigma, ticks in chunk:
+                yield sigma, ticks, None if sigma is None else next(outcomes)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_l0_sweep(
@@ -521,83 +539,39 @@ def run_l0_sweep(
         frozenset(range(n_slots + 1)) if sought is None else frozenset(int(v) for v in sought)
     )
 
-    total_regions = 1
-    for ch in comp.choices:
-        total_regions *= len(ch)
+    perm = fam.symmetry[0] if fam.symmetry else None
+    if perm is not None and any(
+        comp.choices[i] != comp.choices[perm[i]] for i in range(len(perm))
+    ):
+        perm = None  # asymmetric bounds: orbit pruning would be unsound
 
     stats = SweepStats()
     found: Dict[int, Dict[str, Rat]] = {}
     exhaustive = True
-
-    if total_regions <= REGION_ENUM_LIMIT:
-        perm = fam.symmetry[0] if fam.symmetry else None
-        if perm is not None and any(
-            comp.choices[i] != comp.choices[perm[i]] for i in range(len(perm))
-        ):
-            perm = None  # asymmetric bounds: orbit pruning would be unsound
-        regions = []
-        for sigma in itertools.product(*comp.choices):
-            if not _region_ok(comp, sigma, h_degree_exact, skip_all_zero):
-                continue
-            if perm is not None and not _canonical(sigma, perm):
-                continue
-            regions.append(sigma)
-        stats.regions_total = len(regions)
-        cap = max(REGION_NODE_FLOOR, budget // max(1, len(regions)))
-        if jobs > 1 and len(regions) > 1:
-            blocks = [regions[i::jobs] for i in range(jobs)]
-            ordered: Dict[Tuple[int, ...], _RegionOutcome] = {}
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for block, outcomes in zip(
-                    blocks,
-                    pool.map(
-                        _explore_block,
-                        [(comp, block, sought_set, cap) for block in blocks],
-                    ),
-                ):
-                    for sigma, outcome in zip(block, outcomes):
-                        ordered[sigma] = outcome
-            outcomes = [ordered[sigma] for sigma in regions]
-        else:
-            outcomes = [
-                _explore_region(comp, sigma, sought_set, cap) for sigma in regions
-            ]
-        for outcome in outcomes:
-            stats.merge(outcome.stats)
-            if not outcome.complete:
+    walk = _walk(comp, perm, h_degree_exact, skip_all_zero, budget)
+    if jobs > 1:
+        items = _explored_ahead(walk, comp, sought_set, budget, jobs, stats)
+    else:
+        items = ((sigma, ticks, None) for sigma, ticks in walk)
+    with closing(items):
+        for sigma, ticks, ahead in items:
+            cap = budget - ticks - stats.nodes  # lattice and search nodes share it
+            if cap < 0:
                 exhaustive = False
+                break
+            if sigma is None:
+                break
+            stats.regions_total += 1
+            if ahead is not None and ahead.complete and ahead.stats.nodes <= cap:
+                outcome = ahead  # what exploring with the exact cap gives
+            else:
+                outcome = _explore_region(comp, sigma, sought_set, cap)
+            stats.merge(outcome.stats)
             for value, point in outcome.found.items():
                 found.setdefault(value, point)
-    else:
-        # lattice too large to enumerate: depth-first over parameter signs
-        budget_left = [budget]
-
-        def assign(idx: int, sigma: List[int]):
-            budget_left[0] -= 1
-            if budget_left[0] < 0:
-                raise _BudgetExhausted
-            if idx == len(comp.choices):
-                tup = tuple(sigma)
-                if not _region_ok(comp, tup, h_degree_exact, skip_all_zero):
-                    return
-                stats.regions_total += 1
-                outcome = _explore_region(comp, tup, sought_set, budget_left[0])
-                stats.merge(outcome.stats)
-                budget_left[0] -= outcome.stats.nodes
-                if not outcome.complete or budget_left[0] < 0:
-                    raise _BudgetExhausted
-                for value, point in outcome.found.items():
-                    found.setdefault(value, point)
-                return
-            for choice in comp.choices[idx]:
-                sigma.append(choice)
-                assign(idx + 1, sigma)
-                sigma.pop()
-
-        try:
-            assign(0, [])
-        except _BudgetExhausted:
-            exhaustive = False
+            if not outcome.complete:
+                exhaustive = False
+                break
 
     achievable = {v: found[v] for v in sorted(found)}
     certified = sorted(sought_set - set(found)) if exhaustive else []

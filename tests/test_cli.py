@@ -102,14 +102,17 @@ class TestFamilyCommands:
         assert data["exhaustive"] is True
 
     def test_top_level_l0range_alias(self, capsys, tmp_path):
+        """The sweep lives under ``family l0range`` only; the old alias is gone."""
         code, out, _ = run(
             capsys, "family", "build", "--group", "scalar:2:2", "--h-degree", "2",
             "--format", "json",
         )
         fam_file = tmp_path / "fam.json"
         fam_file.write_text(out)
+        code, _, _ = run(capsys, "l0range", "--family", str(fam_file), "--no-orthant")
+        assert code == 2
         code, out, _ = run(
-            capsys, "l0range", "--family", str(fam_file), "--no-orthant",
+            capsys, "family", "l0range", "--family", str(fam_file), "--no-orthant",
             "--format", "json",
         )
         assert code == 0
@@ -150,6 +153,12 @@ class TestGaps:
         )
         assert code == 3
         assert json.loads(out)["exhaustive"] is False
+
+    def test_signed_flag_removed(self, capsys):
+        code, _, _ = run(
+            capsys, "gaps", "--group", "weighted:5:2", "--max-degree", "9", "--signed"
+        )
+        assert code == 2
 
     def test_deterministic_output(self, capsys):
         args = (

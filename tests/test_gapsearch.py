@@ -2,7 +2,7 @@
 
 import pytest
 
-from invsp import ratlp
+from invsp import ratlp, sweep
 from invsp.affinefamily import build_coefficient_family
 from invsp.construct import basic_poly_closed
 from invsp.gapsearch import (
@@ -237,6 +237,70 @@ class TestSweepEngineEdges:
     def test_achievability_json_reports_pivots(self):
         rep = achievable_set(G7, 10, "signed")
         assert rep.to_json_dict()["stats"]["pivots"] == rep.stats.pivots > 0
+
+
+class TestSignRegionWalk:
+    """One lazy walk over sign regions, under one global budget."""
+
+    @staticmethod
+    def cubic():
+        return build_coefficient_family(GroupSpec.scalar(3, 2), 3, "signed")
+
+    @staticmethod
+    def degree17():
+        return build_coefficient_family(G7, 10, "signed")
+
+    def test_small_budget_cuts_a_small_lattice(self):
+        rep = run_l0_sweep(self.cubic(), orthant=False, budget=10)
+        assert not rep.exhaustive
+        assert rep.certified_absent == []
+
+    @pytest.mark.parametrize("orthant", [True, False])
+    def test_budget_counts_lattice_and_search_nodes(self, orthant):
+        fam = self.cubic()
+        full = run_l0_sweep(fam, orthant=orthant)
+        assert full.exhaustive
+        lattice_nodes, width = 1, 1
+        for choices in sweep._Compiled(fam, orthant).choices:
+            width *= len(choices)
+            lattice_nodes += width
+        need = lattice_nodes + full.stats.nodes
+        assert run_l0_sweep(fam, orthant=orthant, budget=need).to_json_dict() == (
+            full.to_json_dict()
+        )
+        assert not run_l0_sweep(fam, orthant=orthant, budget=need - 1).exhaustive
+
+    @pytest.mark.parametrize("budget", [10, 300])
+    @pytest.mark.parametrize("orthant", [True, False])
+    def test_jobs_do_not_change_cut_reports(self, orthant, budget):
+        fam = self.cubic()
+        seq = run_l0_sweep(fam, orthant=orthant, budget=budget, jobs=1)
+        par = run_l0_sweep(fam, orthant=orthant, budget=budget, jobs=2)
+        assert not seq.exhaustive
+        assert par.to_json_dict() == seq.to_json_dict()
+
+    def test_jobs_do_not_change_degree17_report(self):
+        fam = self.degree17()
+        seq = run_l0_sweep(fam, sought=[31, 35, 36], budget=2000, jobs=1)
+        par = run_l0_sweep(fam, sought=[31, 35, 36], budget=2000, jobs=2)
+        assert not seq.exhaustive
+        assert par.to_json_dict() == seq.to_json_dict()
+
+    def test_degree17_explores_only_canonical_regions(self, monkeypatch):
+        seen = []
+        explore = sweep._explore_region
+
+        def spy(comp, sigma, sought, cap):
+            seen.append(sigma)
+            return explore(comp, sigma, sought, cap)
+
+        monkeypatch.setattr(sweep, "_explore_region", spy)
+        fam = self.degree17()
+        rep = run_l0_sweep(fam, sought=[31, 35, 36], budget=2000)
+        assert not rep.exhaustive
+        assert seen and len(seen) == rep.stats.regions_explored
+        perm = fam.symmetry[0]
+        assert all(sweep._canonical(sigma, perm) for sigma in seen)
 
 
 class TestUnconditionalScope:

@@ -20,7 +20,7 @@ most d(N), so a sweep covering degree d(N) settles N outright.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .affinefamily import build_coefficient_family, instantiate
@@ -340,11 +340,7 @@ class AchievabilityReport:
             "frontier": self.frontier,
             "exhaustive": self.exhaustive,
             "sought": self.sought,
-            "stats": {
-                "nodes": self.stats.nodes,
-                "lp_calls": self.stats.lp_calls,
-                "pivots": self.stats.pivots,
-            },
+            "stats": asdict(self.stats),
         }
 
 
@@ -802,11 +798,7 @@ class SearchReport:
             "found": {str(v): h.to_json_dict() for v, h in sorted(self.found.items())},
             "exhaustive": self.exhaustive,
             "unconditional": self.unconditional,
-            "stats": {
-                "nodes": self.stats.nodes,
-                "lp_calls": self.stats.lp_calls,
-                "pivots": self.stats.pivots,
-            },
+            "stats": asdict(self.stats),
         }
 
 

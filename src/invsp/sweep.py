@@ -15,6 +15,9 @@ Structure of the search, mirroring a by-hand case analysis:
    forms outright (always positive, identically zero, forced zero, or a
    witness that the region is empty); only genuinely ambiguous forms are
    branched on, with an exact rational LP as the feasibility oracle.
+   Propagation runs on the slot forms scaled to integers, one pass per
+   form, with bounds kept as ints wherever they are integral; the LP rows
+   use the rational forms.
 3. Branches whose attainable value interval cannot contribute a still
    undecided sought value are pruned.
 4. An order-3 variable rotation, when the family is symmetric under it,
@@ -30,6 +33,7 @@ order, so reports are reproducible and independent of worker count.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
@@ -95,12 +99,27 @@ class _BudgetExhausted(Exception):
 
 
 class _CompiledSlot:
-    __slots__ = ("index", "const", "items")
+    __slots__ = ("const", "items", "iconst", "iitems")
 
-    def __init__(self, index: int, const: Rat, items: Tuple[Tuple[int, Rat], ...]):
-        self.index = index
+    def __init__(self, const: Rat, items: Tuple[Tuple[int, Rat], ...]):
         self.const = const
         self.items = items  # (param position, weight)
+        # The same form times the lcm of its denominators: a positive factor,
+        # so every sign and zero test reads the same on either form.
+        scale = math.lcm(const.denominator, *(w.denominator for _, w in items))
+        self.iconst = _scaled(const, scale)
+        self.iitems = tuple((p, _scaled(w, scale)) for p, w in items)
+
+
+def _scaled(q: Rat, scale: int) -> int:
+    return int(q.numerator) * (scale // int(q.denominator))
+
+
+def _exact(q: Optional[Rat]):
+    """A bound as an int when it is integral, else unchanged."""
+    if q is None or q.denominator != 1:
+        return q
+    return int(q.numerator)
 
 
 class _Compiled:
@@ -110,16 +129,15 @@ class _Compiled:
         self.orthant = orthant
         self.names = [p.name for p in fam.params]
         index = {n: i for i, n in enumerate(self.names)}
-        self.lo = [p.effective_lo(orthant) for p in fam.params]
-        self.hi = [p.hi for p in fam.params]
+        self.lo = [_exact(p.effective_lo(orthant)) for p in fam.params]
+        self.hi = [_exact(p.hi) for p in fam.params]
         self.degrees = [p.degree for p in fam.params]
         self.slots = [
             _CompiledSlot(
-                i,
                 s.form.const,
                 tuple(sorted((index[n], w) for n, w in s.form.weights.items())),
             )
-            for i, s in enumerate(fam.slots)
+            for s in fam.slots
         ]
         self.choices = []
         for p in fam.params:
@@ -131,7 +149,12 @@ class _Compiled:
                 self.choices.append((1,))
 
 
-# -- interval arithmetic (None = unbounded) -------------------------------------
+# -- interval arithmetic on integer forms (None = unbounded) ---------------------
+#
+# A box is (lo, hi, lo_excl, hi_excl); a bound is an int when it is integral
+# and a Rat otherwise, and only a 0 bound is ever excluded.  Forms are the
+# integer-scaled ones, so the values below are the rational form's values
+# times a positive factor.
 
 
 def _interval_of(const, items, boxes):
@@ -173,40 +196,60 @@ def _interval_of(const, items, boxes):
     return fmin, min_att, fmax, max_att
 
 
+def _quotient(num, den: int):
+    """num / den, as an int when it is integral and as a Rat otherwise."""
+    if type(num) is int:
+        q, r = divmod(num, den)
+        return q if r == 0 else rat(num, den)
+    q = num / den
+    return int(q.numerator) if q.denominator == 1 else q
+
+
 def _propagate_box(boxes, forms, rounds: int = 3) -> bool:
-    """Tighten parameter boxes using form >= 0; False if a box empties."""
+    """Tighten parameter boxes using form >= 0; False if a box empties.
+
+    One pass per form: the terms that cap the form from above are summed
+    once, and each item's rest is that total less its own term (or the
+    total itself for the one item with no cap).  Tightening item k moves
+    only the bound its own term does not read (``lo`` for a positive
+    weight, ``hi`` for a negative one), so no update inside a form changes
+    another item's rest.
+    """
     for _ in range(rounds):
         changed = False
         for const, items in forms:
-            for k, wk in items:
-                rest_max = const
-                for pos, w in items:
-                    if pos == k:
-                        continue
-                    lo, hi, _, _ = boxes[pos]
-                    bound = hi if w > 0 else lo
-                    if bound is None:
-                        rest_max = None
-                        break
-                    rest_max += w * bound
-                if rest_max is None:
-                    continue
-                lo, hi, lo_excl, hi_excl = boxes[k]
-                if wk > 0:
-                    new_lo = -rest_max / wk
-                    if lo is None or new_lo > lo:
-                        boxes[k] = (new_lo, hi, lo_excl and new_lo == 0, hi_excl)
-                        changed = True
+            total = const
+            uncapped = None  # the one item whose capping bound is None
+            for item in items:
+                pos, w = item
+                bound = boxes[pos][1 if w > 0 else 0]
+                if bound is None:
+                    if uncapped is not None:
+                        break  # two uncapped items: no item has a finite rest
+                    uncapped = item
                 else:
-                    new_hi = rest_max / (-wk)
-                    if hi is None or new_hi < hi:
-                        boxes[k] = (lo, new_hi, lo_excl, hi_excl and new_hi == 0)
-                        changed = True
+                    total += w * bound
+            else:
+                for k, wk in items if uncapped is None else (uncapped,):
+                    lo, hi, lo_excl, hi_excl = boxes[k]
+                    if wk > 0:
+                        rest = total if uncapped else total - wk * hi
+                        # the new lo, -rest/wk, beats lo iff rest + wk*lo < 0
+                        if lo is None or rest + wk * lo < 0:
+                            boxes[k] = (_quotient(-rest, wk), hi, False, hi_excl)
+                            changed = True
+                    else:
+                        rest = total if uncapped else total - wk * lo
+                        if hi is None or rest + wk * hi < 0:
+                            boxes[k] = (lo, _quotient(-rest, wk), lo_excl, False)
+                            changed = True
         for box in boxes:
             if box is None:
                 continue
-            lo, hi, _, _ = box
-            if lo is not None and hi is not None and lo > hi:
+            lo, hi, lo_excl, hi_excl = box
+            if lo is not None and hi is not None and (
+                lo > hi or (lo == hi and (lo_excl or hi_excl))
+            ):
                 return False
         if not changed:
             break
@@ -238,32 +281,30 @@ def _explore_region(
     support = [i for i, s in enumerate(sigma) if s != 0]
     zero_positions = {i for i, s in enumerate(sigma) if s == 0}
 
-    # reduce slot forms over the support
-    reduced = []  # (slot_index, const, items)
+    # reduce the integer slot forms over the support
+    reduced = []  # (slot, integer const, integer items)
     n_base = 0  # slots decided nonzero for the whole region
-    auto_zero = 0
     for slot in comp.slots:
-        items = tuple((p, w) for p, w in slot.items if p not in zero_positions)
-        if not items:
-            if slot.const == 0:
-                auto_zero += 1
-            elif slot.const > 0 or not comp.orthant:
-                n_base += 1
-            else:
-                stats.regions_infeasible += 1
-                return _RegionOutcome({}, True, stats)
+        items = tuple(it for it in slot.iitems if it[0] not in zero_positions)
+        if items:
+            reduced.append((slot, slot.iconst, items))
+        elif slot.iconst == 0:
+            continue  # vanishes on the whole region
+        elif slot.iconst > 0 or not comp.orthant:
+            n_base += 1
         else:
-            reduced.append((slot.index, slot.const, items))
+            stats.regions_infeasible += 1
+            return _RegionOutcome({}, True, stats)
 
     # parameter boxes for the region
     boxes: List[Optional[tuple]] = [None] * len(comp.names)
     for i in support:
         lo, hi = comp.lo[i], comp.hi[i]
         if sigma[i] > 0:
-            lo = rat(0) if lo is None or lo < 0 else lo
+            lo = 0 if lo is None or lo < 0 else lo
             boxes[i] = (lo, hi, lo == 0, False)
         else:
-            hi = rat(0) if hi is None or hi > 0 else hi
+            hi = 0 if hi is None or hi > 0 else hi
             boxes[i] = (lo, hi, False, hi == 0)
 
     if comp.orthant:
@@ -272,29 +313,31 @@ def _explore_region(
             stats.regions_infeasible += 1
             return _RegionOutcome({}, True, stats)
 
+    def rational(slot):  # the slot's rational form over the support, for the LP
+        return slot.const, tuple((p, w) for p, w in slot.items if p not in zero_positions)
+
     forced_zero: List[tuple] = []
     ambiguous: List[tuple] = []
-    for entry in reduced:
-        _, const, items = entry
+    for slot, const, items in reduced:
         fmin, min_att, fmax, max_att = _interval_of(const, items, boxes)
         if comp.orthant:
             if fmax is not None and (fmax < 0 or (fmax == 0 and not max_att)):
                 stats.regions_infeasible += 1
                 return _RegionOutcome({}, True, stats)
             if fmax is not None and fmax == 0:
-                forced_zero.append(entry)
+                forced_zero.append(rational(slot))
                 continue
             if fmin is not None and (fmin > 0 or (fmin == 0 and not min_att)):
                 n_base += 1
                 continue
-            ambiguous.append(entry)
+            ambiguous.append(rational(slot))
         else:
             if (fmin is not None and (fmin > 0 or (fmin == 0 and not min_att))) or (
                 fmax is not None and (fmax < 0 or (fmax == 0 and not max_att))
             ):
                 n_base += 1
             else:
-                ambiguous.append(entry)
+                ambiguous.append(rational(slot))
 
     n_vars = len(support) + 1  # support parameters plus slack t
     pos_of = {p: k for k, p in enumerate(support)}
@@ -305,7 +348,7 @@ def _explore_region(
 
     def zero_rows(entries):
         return [
-            (lp_row(cols(items), n_vars), ratlp.EQ, -const) for _, const, items in entries
+            (lp_row(cols(items), n_vars), ratlp.EQ, -const) for const, items in entries
         ]
 
     base_rows = []
@@ -313,9 +356,9 @@ def _explore_region(
         lo, hi, _, _ = boxes[p]
         unit = [(pos_of[p], rat(1))]
         if lo is not None:
-            base_rows.append((lp_row(unit, n_vars), ratlp.GE, lo))
+            base_rows.append((lp_row(unit, n_vars), ratlp.GE, rat(lo)))
         if hi is not None:
-            base_rows.append((lp_row(unit, n_vars), ratlp.LE, hi))
+            base_rows.append((lp_row(unit, n_vars), ratlp.LE, rat(hi)))
         strict = [(pos_of[p], rat(1) if sigma[p] > 0 else rat(-1))]
         base_rows.append((lp_row(strict, n_vars, -1), ratlp.GE, rat(0)))
     base_rows.append((lp_row((), n_vars, 1), ratlp.LE, rat(1)))
@@ -334,17 +377,17 @@ def _explore_region(
         ones nonnegative; otherwise the nonzero entries take either sign.
         """
         rows = base_rows + zero_rows(zero_entries)
-        forms = [(cols(items), const) for _, const, items in nonzero_entries]
+        forms = [(cols(items), const) for const, items in nonzero_entries]
         if comp.orthant:  # nonzero means positive: no sign to branch on
             rows += [(lp_row(it, n_vars, -1), ratlp.GE, -const) for it, const in forms]
             forms = []
-        for _, const, items in open_entries:
+        for const, items in open_entries:
             rows.append((lp_row(cols(items), n_vars), ratlp.GE, -const))
         x = nonzero_point(lp, rows, forms, n_vars)
         return None if x is None else x[:-1]
 
     def eval_entry(entry, point) -> Rat:
-        _, const, items = entry
+        const, items = entry
         total = const
         for p, w in items:
             total += w * point[pos_of[p]]

@@ -4,7 +4,10 @@ Every tolerance here is exact (rational equality or integer set equality);
 the only numeric allowances are the stated wall-clock runtime targets.
 """
 
+import json
 import time
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -138,6 +141,17 @@ def test_criterion_06_low_degree_structure(degree13_sweep):
     assert elapsed < 900.0
     report(6, f"degree structure: <=9 rigid, 10 gives {{17,29,30}}, 11 forces >=31, "
               f"12 forces >=33, 13 forces >=29 ({elapsed:.2f}s)")
+
+
+def test_degree13_report_is_pinned(degree13_sweep):
+    """The decisive sweep's witnesses, gaps and search counters, bit for bit."""
+    path = Path(__file__).parent / "fixtures" / "gamma7_d13_report.json"
+    expected = json.loads(path.read_text())
+    rep = degree13_sweep
+    assert {str(v): h.to_json_dict() for v, h in rep.achievable.items()} == expected["achievable"]
+    assert rep.proven_gaps == expected["proven_gaps"]
+    assert rep.exhaustive == expected["exhaustive"]
+    assert asdict(rep.stats) == expected["stats"]
 
 
 def test_criterion_07_table_fidelity():

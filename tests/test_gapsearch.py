@@ -1,5 +1,7 @@
 """Achievability sweeps, the postage-stamp closure, and gap certification."""
 
+from dataclasses import asdict
+
 import pytest
 
 from invsp import ratlp, sweep
@@ -24,6 +26,8 @@ from invsp.transform import tensor_step, validate_special
 
 G7 = GroupSpec.gamma7()
 F7 = basic_poly_closed(G7)
+STATS_KEYS = {"nodes", "lp_calls", "regions_total", "regions_explored",
+              "regions_infeasible", "leaves", "pivots"}
 
 
 class TestSweeps:
@@ -230,13 +234,24 @@ class TestSweepEngineEdges:
         assert rep.stats.lp_calls == seen["calls"] > 0
         assert rep.stats.pivots == seen["pivots"] > 0
         stats = rep.to_json_dict()["stats"]
-        assert set(stats) == {"nodes", "lp_calls", "regions_total", "regions_explored",
-                              "regions_infeasible", "leaves", "pivots"}
+        assert set(stats) == STATS_KEYS
         assert stats["pivots"] == seen["pivots"]
 
     def test_achievability_json_reports_pivots(self):
         rep = achievable_set(G7, 10, "signed")
         assert rep.to_json_dict()["stats"]["pivots"] == rep.stats.pivots > 0
+
+    def test_every_report_writes_the_whole_stats_block(self):
+        fam = build_coefficient_family(G7, 1, "signed")
+        reports = [
+            run_l0_sweep(fam),
+            achievable_set(G7, 10, "signed"),
+            search_targets(G7, [29], 10),
+        ]
+        for rep in reports:
+            stats = rep.to_json_dict()["stats"]
+            assert set(stats) == STATS_KEYS, type(rep).__name__
+            assert stats == asdict(rep.stats)
 
 
 class TestSignRegionWalk:

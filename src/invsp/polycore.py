@@ -16,6 +16,7 @@ x + y + z = 1 (or its lower-dimensional analogues).
 from __future__ import annotations
 
 import json
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .rat import Rat, RatLike, rat, rat_str
@@ -259,31 +260,37 @@ class Polynomial:
         For one variable this substitutes x = 1; the result always has one
         variable fewer.  A polynomial is identically 1 on the hyperplane
         x + y (+ z) = 1 exactly when the result is the constant 1.
+
+        The substitution is one Horner pass over Python ints.  Every
+        coefficient is scaled by L, the lcm of the denominators, and the
+        polynomial is grouped by its last exponent as f = sum_e z^e P_e.
+        From the top e down, acc = acc * (1 - x - y ...) + P_e; each step
+        adds an entry of acc at its own monomial and subtracts it at the
+        monomial shifted up in each of the other variables.  The result is
+        acc / L.
         """
         if self.nvars not in (1, 2, 3):
             raise DimensionMismatchError(
                 f"hyperplane restriction supports 1-3 variables, got {self.nvars}"
             )
         k = self.nvars - 1
-        # replacement = 1 - x - y ... in k variables
-        repl_terms = {(0,) * k: rat(1)}
-        for i in range(k):
-            e = [0] * k
-            e[i] = 1
-            repl_terms[tuple(e)] = rat(-1)
-        repl = Polynomial(k, repl_terms)
-        powers = {0: Polynomial.one(k)}
-
-        def repl_pow(e: int) -> Polynomial:
-            if e not in powers:
-                powers[e] = repl_pow(e - 1) * repl
-            return powers[e]
-
-        out = Polynomial.zero(k)
+        scale = lcm(*(int(c.denominator) for c in self._terms.values()))
+        layers: dict[int, dict[Monomial, int]] = {}
         for mono, c in self._terms.items():
-            head = Polynomial.monomial(k, mono[:k], c)
-            out = out + head * repl_pow(mono[k])
-        return out
+            num = int(c.numerator) * (scale // int(c.denominator))
+            layers.setdefault(mono[k], {})[mono[:k]] = num
+        acc: dict[Monomial, int] = {}
+        for e in range(max(layers, default=-1), -1, -1):
+            step = dict(layers.get(e, ()))
+            for mono, v in acc.items():
+                if not v:
+                    continue
+                step[mono] = step.get(mono, 0) + v
+                for i in range(k):
+                    up = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+                    step[up] = step.get(up, 0) - v
+            acc = step
+        return Polynomial._raw(k, {m: rat(v, scale) for m, v in acc.items() if v})
 
     def evaluate(self, point: Iterable[RatLike]) -> Rat:
         values = [rat(v) for v in point]

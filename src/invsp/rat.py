@@ -13,7 +13,7 @@ try:
     from gmpy2 import mpq as Rat
 
     HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional: pip install -e '.[gmpy2]'
     from fractions import Fraction as Rat
 
     HAVE_GMPY2 = False

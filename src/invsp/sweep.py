@@ -339,6 +339,10 @@ def _explore_region(
             else:
                 ambiguous.append(rational(slot))
 
+    # the value window: no count this region can reach is still sought
+    if not any(n_base <= v <= n_base + len(ambiguous) for v in remaining):
+        return _RegionOutcome({}, True, stats)
+
     n_vars = len(support) + 1  # support parameters plus slack t
     pos_of = {p: k for k, p in enumerate(support)}
     objective = lp_row((), n_vars, 1)
@@ -446,9 +450,6 @@ def _explore_region(
                     dfs(zeros, positives + [head], rest, child)
         else:
             dfs(zeros, positives + [head], rest, None)
-
-    if not any(n_base <= v <= n_base + len(ambiguous) for v in remaining):
-        return _RegionOutcome({}, True, stats)
 
     complete = True
     try:

@@ -14,7 +14,7 @@ from invsp.polycore import (
     is_one_on_hyperplane,
     term_count,
 )
-from invsp.rat import rat
+from invsp.rat import Rat, rat
 
 from conftest import polynomials
 
@@ -85,6 +85,33 @@ class TestRingAxioms:
         assert term_count(a + b_clean) == term_count(a) + term_count(b_clean)
 
 
+def substitute_hyperplane(f):
+    """Reference restriction: the Polynomial-arithmetic substitution.
+
+    Each term becomes a one-term polynomial times (1 - x - y ...)^e, summed
+    with Polynomial +; the integer Horner pass must give the same result.
+    """
+    k = f.nvars - 1
+    repl_terms = {(0,) * k: rat(1)}
+    for i in range(k):
+        e = [0] * k
+        e[i] = 1
+        repl_terms[tuple(e)] = rat(-1)
+    repl = Polynomial(k, repl_terms)
+    powers = {0: Polynomial.one(k)}
+
+    def repl_pow(e):
+        if e not in powers:
+            powers[e] = repl_pow(e - 1) * repl
+        return powers[e]
+
+    out = Polynomial.zero(k)
+    for mono, c in f.terms.items():
+        head = Polynomial.monomial(k, mono[:k], c)
+        out = out + head * repl_pow(mono[k])
+    return out
+
+
 class TestRestriction:
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_binomial_restricts_to_one(self, m):
@@ -105,12 +132,42 @@ class TestRestriction:
         assert is_one_on_hyperplane(s**4)
 
     def test_unsupported_dimension(self):
-        with pytest.raises(DimensionMismatchError):
-            Polynomial.zero(0).restrict_to_hyperplane()
+        for nvars in (0, 4):
+            with pytest.raises(DimensionMismatchError):
+                Polynomial.zero(nvars).restrict_to_hyperplane()
+            with pytest.raises(DimensionMismatchError):
+                Polynomial.one(nvars).restrict_to_hyperplane()
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_zero_restricts_to_zero(self, nvars):
+        restricted = Polynomial.zero(nvars).restrict_to_hyperplane()
+        assert restricted.nvars == nvars - 1 and restricted.is_zero()
+
+    @pytest.mark.parametrize("nvars", [2, 3])
+    def test_hyperplane_equation_cancels_to_zero(self, nvars):
+        # x + y - 1 and x + y + z - 1 vanish on the hyperplane
+        f = sum((Polynomial.variable(nvars, i) for i in range(nvars)), Polynomial.zero(nvars))
+        restricted = (f - 1).restrict_to_hyperplane()
+        assert restricted.nvars == nvars - 1 and restricted.is_zero()
+        assert ((f - 1) * f**5).restrict_to_hyperplane().is_zero()
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_polynomial_substitution(self, nvars, data):
+        f = data.draw(polynomials(nvars, max_terms=8, max_exp=8))
+        restricted = f.restrict_to_hyperplane()
+        expected = substitute_hyperplane(f)
+        assert restricted.nvars == expected.nvars == nvars - 1
+        assert restricted.terms == expected.terms
+        assert all(type(c) is Rat for c in restricted.terms.values())
 
     @settings(max_examples=300, deadline=None)
-    @given(polynomials(2, max_terms=4, max_exp=3), polynomials(2, max_terms=4, max_exp=3))
-    def test_restriction_is_ring_homomorphism(self, f, g):
+    @given(data=st.data())
+    def test_restriction_is_ring_homomorphism(self, data):
+        nvars = data.draw(st.sampled_from([2, 3]))
+        f = data.draw(polynomials(nvars, max_terms=4, max_exp=3))
+        g = data.draw(polynomials(nvars, max_terms=4, max_exp=3))
         assert (f * g).restrict_to_hyperplane() == (
             f.restrict_to_hyperplane() * g.restrict_to_hyperplane()
         )

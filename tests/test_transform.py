@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invsp.construct import basic_poly_closed, coefficient_c
-from invsp.gapsearch import combine_witness
+from invsp.gapsearch import GAMMA7_CATALOG, catalog_h, combine_witness, frobenius_closure
 from invsp.groups import GroupSpec, enumerate_invariant_monomials
 from invsp.polycore import DimensionMismatchError, Polynomial, is_one_on_hyperplane
 from invsp.rat import rat
@@ -147,6 +147,34 @@ class TestPreservation:
         F = basic_poly_closed(g)
         H = data.draw(invariant_polys(g))
         assert is_invariant(g, tensor_step(F, H))
+
+
+class TestClosureWitnesses:
+    """The gamma7 postage-stamp closure to 200 keeps every witness special."""
+
+    @pytest.fixture(scope="class")
+    def closed(self):
+        base = {}
+        for _, h_terms, expected_n in GAMMA7_CATALOG:
+            base.setdefault(expected_n, tensor_step(F7, catalog_h(h_terms, 3)))
+        return frobenius_closure(base, 200)
+
+    def test_every_witness_is_one_on_hyperplane(self, closed):
+        assert len(closed) == 170
+        bad = [v for v, G in closed.items() if not is_one_on_hyperplane(G)]
+        assert bad == []
+
+    def test_perturbed_witness_fails(self, closed):
+        # moving one coefficient by 1/7 adds (1/7) * x^a y^b (1 - x - y)^c,
+        # which is nonzero, to the restriction
+        kept = []
+        for v, G in closed.items():
+            terms = dict(G.terms)
+            mono = sorted(terms)[v % len(terms)]
+            terms[mono] += rat(1, 7)
+            if is_one_on_hyperplane(Polynomial(3, terms)):
+                kept.append(v)
+        assert kept == []
 
 
 class TestProductTermBounds:

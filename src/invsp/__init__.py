@@ -16,7 +16,6 @@ from .affinefamily import (
     SlotSpec,
     build_coefficient_family,
     instantiate,
-    l0_range,
     pattern_feasible,
 )
 from .construct import (
@@ -95,7 +94,6 @@ __all__ = [
     "is_invariant_monomial",
     "is_one_on_hyperplane",
     "is_prime",
-    "l0_range",
     "mod_reduction_check",
     "parse_group",
     "pattern_feasible",

@@ -32,13 +32,6 @@ from .transform import tensor_step
 NONNEG_H = "nonneg"
 SIGNED_H = "signed"
 
-_SIGN_MODE_ALIASES = {
-    "nonneg": NONNEG_H,
-    "nonneg_h": NONNEG_H,
-    "signed": SIGNED_H,
-    "signed_h": SIGNED_H,
-}
-
 
 class LinearForm:
     """Affine form: constant plus rational weights over named parameters."""
@@ -61,12 +54,6 @@ class LinearForm:
             total += w * point[name]
         return total
 
-    def substitute_zeros(self, zero_names) -> "LinearForm":
-        return LinearForm(
-            self.const,
-            {n: w for n, w in self.weights.items() if n not in zero_names},
-        )
-
     def rename(self, mapping: Mapping[str, str]) -> "LinearForm":
         return LinearForm(
             self.const, {mapping.get(n, n): w for n, w in self.weights.items()}
@@ -75,17 +62,11 @@ class LinearForm:
     def is_zero(self) -> bool:
         return self.const == 0 and not self.weights
 
-    def is_constant(self) -> bool:
-        return not self.weights
-
     def single_param(self) -> Optional[Tuple[str, Rat]]:
         """(name, weight) when the form is exactly one weighted parameter."""
         if self.const == 0 and len(self.weights) == 1:
             return next(iter(self.weights.items()))
         return None
-
-    def params(self) -> FrozenSet[str]:
-        return frozenset(self.weights)
 
     def __eq__(self, other):
         if not isinstance(other, LinearForm):
@@ -193,12 +174,6 @@ class AffineFamily:
     @property
     def param_names(self) -> List[str]:
         return [p.name for p in self.params]
-
-    def param_by_name(self, name: str) -> ParamSpec:
-        for p in self.params:
-            if p.name == name:
-                return p
-        raise KeyError(name)
 
     def slot_index(self, mono: Monomial) -> int:
         for i, s in enumerate(self.slots):
@@ -338,8 +313,7 @@ def build_coefficient_family(
     """
     if h_degree < 0:
         raise ValueError("h_degree must be nonnegative")
-    mode = _SIGN_MODE_ALIASES.get(sign_mode.lower())
-    if mode is None:
+    if sign_mode not in (NONNEG_H, SIGNED_H):
         raise ValueError(f"unknown sign mode {sign_mode!r}")
 
     F = basic_poly_closed(g)
@@ -382,7 +356,7 @@ def build_coefficient_family(
 
     params = []
     for name, mono in zip(names, monos):
-        if mode == NONNEG_H:
+        if sign_mode == NONNEG_H:
             params.append(ParamSpec(name=name, mono=mono, lo=rat(0), hi=None))
         elif name in appears_alone:
             params.append(
@@ -436,18 +410,6 @@ def cross_check_instantiate(fam: AffineFamily, point: Mapping) -> bool:
         raise ValueError("cross-check requires a group-built family")
     F = basic_poly_closed(fam.group)
     return instantiate(fam, point) == tensor_step(F, fam.h_polynomial(point))
-
-
-def l0_range(fam: AffineFamily, **kwargs):
-    """Achievable sparsity values of the family; see :func:`invsp.sweep.run_l0_sweep`.
-
-    Accepts the same keyword arguments (orthant, sought, budget, jobs,
-    h_degree_exact, skip_all_zero) and returns an L0Report with witnessed
-    values, certified absences, and an exhaustiveness flag.
-    """
-    from .sweep import run_l0_sweep
-
-    return run_l0_sweep(fam, **kwargs)
 
 
 # -- pattern feasibility ------------------------------------------------------

@@ -10,6 +10,11 @@ Subcommands:
 * ``closure``      postage-stamp closure of a base of witnessed values
 * ``verify-paper`` run the complete fixture and theorem ledger
 
+Every subcommand takes ``--format``.  The three that sweep (``gaps``,
+``family l0range`` and ``verify-paper``) also take ``--budget`` (the node
+bound on each sweep, default :data:`invsp.sweep.DEFAULT_BUDGET`) and
+``--jobs`` (worker processes).
+
 Exit codes: 0 success / verified; 1 verification mismatch; 2 usage or
 input error; 3 budget exhausted (search inconclusive).  Output is
 deterministic for fixed inputs and budgets; ``--jobs`` only changes wall
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from . import gapsearch
@@ -36,7 +42,7 @@ from .construct import (
 from .groups import GroupSpec, parse_group
 from .polycore import Polynomial
 from .rat import rat
-from .sweep import run_l0_sweep
+from .sweep import DEFAULT_BUDGET, run_l0_sweep
 from .transform import degree_bound, tensor_step, validate_special
 
 EXIT_OK = 0
@@ -167,21 +173,11 @@ def cmd_family(args) -> int:
 
 
 def _run_l0range(fam: AffineFamily, args) -> int:
-    orthant = None
-    if args.orthant and args.no_orthant:
-        raise UsageError("--orthant and --no-orthant are mutually exclusive")
-    if args.orthant:
-        orthant = True
-    if args.no_orthant:
-        orthant = False
-    sought = None
-    if args.targets:
-        sought = _parse_targets(args.targets)
     report = run_l0_sweep(
         fam,
-        orthant=orthant,
-        sought=sought,
-        budget=args.budget if args.budget else gapsearch.default_budget(),
+        orthant=args.orthant,
+        sought=_parse_targets(args.targets) if args.targets else None,
+        budget=args.budget,
         jobs=args.jobs,
     )
     _emit(
@@ -215,7 +211,6 @@ def _parse_targets(text: str):
 def cmd_gaps(args) -> int:
     g = _group(args.group)
     sign_mode = "nonneg" if args.nonneg_h else "signed"
-    budget = args.budget if args.budget else gapsearch.default_budget()
     if args.targets:
         targets = _parse_targets(args.targets)
         report = gapsearch.search_targets(
@@ -223,7 +218,7 @@ def cmd_gaps(args) -> int:
             targets,
             args.max_degree,
             sign_mode=sign_mode,
-            budget=budget,
+            budget=args.budget,
             jobs=args.jobs,
         )
         _emit(
@@ -247,9 +242,9 @@ def cmd_gaps(args) -> int:
         g,
         args.max_degree,
         sign_mode,
-        value_cap=value_cap,
+        targets=None if value_cap is None else range(value_cap + 1),
         h_degree_exact=args.h_degree_exact,
-        budget=budget,
+        budget=args.budget,
         jobs=args.jobs,
     )
     _emit(
@@ -291,11 +286,11 @@ def cmd_closure(args) -> int:
 # -- the verification ledger -------------------------------------------------------
 
 
-def _ledger_checks(budget: Optional[int], jobs: int, closure_bound: Optional[int]):
+def _ledger_checks(budget: int, jobs: int, closure_bound: Optional[int]):
     checks = []
 
     def add(name: str, ok: bool, detail: str = ""):
-        checks.append({"name": name, "passed": bool(ok), "detail": detail})
+        checks.append(gapsearch.CheckResult(name, bool(ok), detail))
 
     # dual construction for the weighted family at prime orders
     for p in (3, 5, 7, 11, 13, 17, 19):
@@ -368,8 +363,8 @@ def _ledger_checks(budget: Optional[int], jobs: int, closure_bound: Optional[int
 
     # sparsity of the two-variable quadratic-invariant affine map
     fam = build_coefficient_family(GroupSpec.scalar(2, 2), 2, "signed")
-    free = run_l0_sweep(fam, orthant=False, budget=gapsearch.default_budget())
-    orthant = run_l0_sweep(fam, orthant=True, budget=gapsearch.default_budget())
+    free = run_l0_sweep(fam, orthant=False, budget=budget, jobs=jobs)
+    orthant = run_l0_sweep(fam, orthant=True, budget=budget, jobs=jobs)
     add(
         "sparse-map-unconstrained",
         free.exhaustive
@@ -442,11 +437,10 @@ def _table_match(fam, reference):
 
 
 def cmd_verify_paper(args) -> int:
-    budget = args.budget if args.budget else gapsearch.default_budget()
-    checks = _ledger_checks(budget, args.jobs, args.closure_bound)
-    passed = sum(1 for c in checks if c["passed"])
+    checks = _ledger_checks(args.budget, args.jobs, args.closure_bound)
+    passed = sum(1 for c in checks if c.passed)
     data = {
-        "checks": checks,
+        "checks": [asdict(c) for c in checks],
         "passed": passed,
         "failed": len(checks) - passed,
         "total": len(checks),
@@ -454,12 +448,12 @@ def cmd_verify_paper(args) -> int:
     if args.format == "json":
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
-        width = max(len(c["name"]) for c in checks)
+        width = max(len(c.name) for c in checks)
         for c in checks:
-            mark = "PASS" if c["passed"] else "FAIL"
-            line = f"{c['name']:<{width}}  {mark}"
-            if c["detail"]:
-                line += f"  {c['detail']}"
+            mark = "PASS" if c.passed else "FAIL"
+            line = f"{c.name:<{width}}  {mark}"
+            if c.detail:
+                line += f"  {c.detail}"
             print(line)
         print(f"\n{passed}/{len(checks)} checks passed")
     return EXIT_OK if passed == len(checks) else EXIT_MISMATCH
@@ -475,26 +469,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format="json"):
+    def formatted(p, default_format="json"):
         p.add_argument("--format", choices=("text", "json"), default=default_format)
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for searches")
+
+    def sweeping(p, default_format="json"):
+        formatted(p, default_format)
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="node bound per sweep")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
 
     p = sub.add_parser("basic-poly", help="construct the basic polynomial")
     p.add_argument("--group", required=True)
     p.add_argument("--method", choices=("closed", "product", "both"), default="closed")
-    common(p)
+    formatted(p)
     p.set_defaults(func=cmd_basic_poly)
 
     p = sub.add_parser("tensor", help="apply G = F - H + H*F")
     p.add_argument("--group", required=True)
     p.add_argument("--h", required=True, help="polynomial JSON file for H")
-    common(p)
+    formatted(p)
     p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("validate", help="validate a polynomial against a group")
     p.add_argument("--group", required=True)
     p.add_argument("poly", help="polynomial JSON file")
-    common(p)
+    formatted(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("family", help="affine coefficient family operations")
@@ -503,20 +501,20 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--group", required=True)
     b.add_argument("--h-degree", type=int, required=True)
     b.add_argument("--sign-mode", choices=("signed", "nonneg"), default="signed")
-    common(b)
+    formatted(b)
     b.set_defaults(func=cmd_family)
     i = fam_sub.add_parser("instantiate")
     i.add_argument("--family", required=True)
     i.add_argument("--point", required=True, help="JSON object or file of parameter values")
-    common(i)
+    formatted(i)
     i.set_defaults(func=cmd_family)
     l = fam_sub.add_parser("l0range", help="sparsity sweep of a family file")
     l.add_argument("--family", required=True, help="family JSON file")
     l.add_argument("--targets")
-    l.add_argument("--orthant", action="store_true")
-    l.add_argument("--no-orthant", action="store_true")
-    l.add_argument("--budget", type=int)
-    common(l)
+    side = l.add_mutually_exclusive_group()
+    side.add_argument("--orthant", dest="orthant", action="store_true", default=None)
+    side.add_argument("--no-orthant", dest="orthant", action="store_false")
+    sweeping(l)
     l.set_defaults(func=cmd_family)
 
     p = sub.add_parser("gaps", help="achievable term counts and gaps for a group")
@@ -526,20 +524,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", help="comma list / ranges, e.g. 31,35,36 or 18-28")
     p.add_argument("--value-cap", type=int)
     p.add_argument("--h-degree-exact", type=int)
-    p.add_argument("--budget", type=int)
-    common(p)
+    sweeping(p)
     p.set_defaults(func=cmd_gaps)
 
     p = sub.add_parser("closure", help="postage-stamp closure of witnessed values")
     p.add_argument("--base", required=True, help='JSON file: [{"n": 17, "poly": {...}}, ...]')
     p.add_argument("--bound", type=int, required=True)
-    common(p)
+    formatted(p)
     p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("verify-paper", help="run the full verification ledger")
-    p.add_argument("--budget", type=int)
     p.add_argument("--closure-bound", type=int)
-    common(p, default_format="text")
+    sweeping(p, default_format="text")
     p.set_defaults(func=cmd_verify_paper)
 
     return parser

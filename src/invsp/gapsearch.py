@@ -19,7 +19,6 @@ most d(N), so a sweep covering degree d(N) settles N outright.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -32,13 +31,6 @@ from .sweep import DEFAULT_BUDGET, SweepStats, run_l0_sweep
 from .transform import degree_bound, tensor_step, validate_special
 
 LAMBDA_FIXTURE = rat(1, 2)  # interior scaling used wherever any 0 < lambda < 1 works
-
-
-def default_budget() -> int:
-    env = os.environ.get("INVSP_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
 
 
 # -- curated witness catalog -----------------------------------------------------
@@ -244,17 +236,15 @@ def catalog_h(terms: Sequence[tuple], nvars: int) -> Polynomial:
 
 
 @dataclass
-class FixtureResult:
+class CheckResult:
     name: str
     passed: bool
-    expected_n: Optional[int]
-    actual_n: Optional[int]
     detail: str = ""
 
 
-def verify_fixtures(g: GroupSpec) -> List[FixtureResult]:
+def verify_fixtures(g: GroupSpec) -> List[CheckResult]:
     """Re-derive every cataloged example for the group and check its N."""
-    results: List[FixtureResult] = []
+    results: List[CheckResult] = []
     F = basic_poly_closed(g)
 
     def run_item(name: str, h_terms, expected_n: int, expected_g: Optional[dict] = None):
@@ -269,7 +259,7 @@ def verify_fixtures(g: GroupSpec) -> List[FixtureResult]:
                 detail = "expanded polynomial differs from the expected one"
         if not report.is_special:
             detail = f"not special: {report}"
-        results.append(FixtureResult(name, ok, expected_n, G.term_count(), detail))
+        results.append(CheckResult(name, ok, detail))
         return G
 
     if g.family == GAMMA7:
@@ -278,12 +268,8 @@ def verify_fixtures(g: GroupSpec) -> List[FixtureResult]:
             if name == "n41":
                 ok = G.coefficient((2, 2, 2)) == 0
                 results.append(
-                    FixtureResult(
-                        "n41-cancellation",
-                        ok,
-                        None,
-                        None,
-                        "coefficient of (xyz)^2 must cancel to zero",
+                    CheckResult(
+                        "n41-cancellation", ok, "coefficient of (xyz)^2 must cancel to zero"
                     )
                 )
         run_item(*GAMMA7_ALT_51)
@@ -296,11 +282,9 @@ def verify_fixtures(g: GroupSpec) -> List[FixtureResult]:
             intermediate = tensor_step(F, part)
             has_negative = any(c < 0 for c in intermediate.terms.values())
             results.append(
-                FixtureResult(
+                CheckResult(
                     name,
                     has_negative,
-                    None,
-                    None,
                     "partial tensor application must show a negative coefficient",
                 )
             )
@@ -350,16 +334,15 @@ def achievable_set(
     sign_mode: str = "signed",
     *,
     targets: Optional[Iterable[int]] = None,
-    value_cap: Optional[int] = None,
     h_degree_exact: Optional[int] = None,
     skip_all_zero: bool = False,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> AchievabilityReport:
     """Sweep all special polynomials of degree at most ``degree_bound_value``.
 
-    ``targets`` limits the sweep to specific term counts; ``value_cap``
-    instead tracks the full range [0, value_cap].  Every witness found is
+    ``targets`` limits the sweep to specific term counts; by default every
+    count up to the number of slots is sought.  Every witness found is
     re-validated end to end (specialness and exact term count) before it is
     reported.
     """
@@ -368,30 +351,18 @@ def achievable_set(
         raise ValueError("degree bound is below the degree of the basic polynomial")
     h_degree = degree_bound_value - F.degree()
     fam = build_coefficient_family(g, h_degree, sign_mode)
-    if targets is not None:
-        sought = sorted(int(v) for v in targets)
-    elif value_cap is not None:
-        sought = list(range(0, value_cap + 1))
-    else:
-        sought = None
     report = run_l0_sweep(
         fam,
-        sought=sought,
+        sought=None if targets is None else sorted(int(v) for v in targets),
         h_degree_exact=h_degree_exact,
         skip_all_zero=skip_all_zero,
-        budget=budget if budget is not None else default_budget(),
+        budget=budget,
         jobs=jobs,
     )
     achievable: Dict[int, Polynomial] = {}
     for value, point in report.achievable.items():
-        H = fam.h_polynomial(point)
-        G = instantiate(fam, point)
-        check = validate_special(g, G)
-        if not check.is_special or G.term_count() != value:
-            raise AssertionError(
-                f"sweep produced an invalid witness for N={value}: {check}"
-            )
-        achievable[value] = H
+        _validated(g, value, instantiate(fam, point))
+        achievable[value] = fam.h_polynomial(point)
     return AchievabilityReport(
         group=g,
         degree_bound=degree_bound_value,
@@ -462,13 +433,6 @@ def closure_frontier(values: Iterable[int], t_min: int) -> Optional[int]:
 
 
 @dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
 class GapTheoremReport:
     group: GroupSpec
     checks: List[CheckResult]
@@ -485,10 +449,7 @@ class GapTheoremReport:
     def to_json_dict(self) -> dict:
         return {
             "group": self.group.to_json_dict(),
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "achievable": sorted(self.achievable),
             "gaps": self.gaps,
             "undecided": self.undecided,
@@ -532,11 +493,10 @@ def verify_gap_theorem(
     *,
     closure_bound: Optional[int] = None,
     n1_limit: int = 30,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> GapTheoremReport:
     """Certify the achievable set and gaps of the group at desk scale."""
-    budget = budget if budget is not None else default_budget()
     checks: List[CheckResult] = []
     F = basic_poly_closed(g)
     nf = F.term_count()
@@ -808,7 +768,7 @@ def search_targets(
     degree_bound_value: int,
     *,
     sign_mode: str = "signed",
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> SearchReport:
     """Directed hunt for special polynomials with the given term counts.

@@ -35,10 +35,6 @@ def grlex_key(mono: Monomial) -> tuple:
     return (sum(mono), mono)
 
 
-def total_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
 def _validate_mono(mono, nvars: int) -> Monomial:
     mono = tuple(int(e) for e in mono)
     if len(mono) != nvars:
@@ -131,12 +127,6 @@ class Polynomial:
     def constant_term(self) -> Rat:
         return self._terms.get((0,) * self.nvars, rat(0))
 
-    def min_degree(self) -> int:
-        """Smallest total degree among the terms; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return min(sum(m) for m in self._terms)
-
     def iter_terms(self) -> Iterator[tuple[Monomial, Rat]]:
         """Terms in descending graded-lex order (leading term first)."""
         for mono in sorted(self._terms, key=grlex_key, reverse=True):
@@ -148,9 +138,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         mono = max(self._terms, key=grlex_key)
         return mono, self._terms[mono]
-
-    def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self._terms)
 
     # -- arithmetic --------------------------------------------------------
 

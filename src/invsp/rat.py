@@ -20,9 +20,6 @@ except ImportError:  # gmpy2 is optional: pip install -e '.[gmpy2]'
 
 RatLike = Union[int, str, "Rat"]
 
-ZERO = Rat(0)
-ONE = Rat(1)
-
 
 def rat(value: RatLike, den: Optional[int] = None) -> "Rat":
     """Coerce an int, "num/den" string, or rational to the canonical type."""
@@ -36,7 +33,3 @@ def rat(value: RatLike, den: Optional[int] = None) -> "Rat":
 def rat_str(q: "Rat") -> str:
     """Serialize a rational as a decimal-free string, e.g. "14" or "-3/2"."""
     return str(q)
-
-
-def is_integral(q: "Rat") -> bool:
-    return q.denominator == 1

@@ -78,6 +78,11 @@ class TestTableFidelity:
         assert all(p.effective_lo(False) is None or not p.structural
                    for p in signed.params)
 
+    @pytest.mark.parametrize("mode", ["nonneg_h", "signed_h", "SIGNED", "Nonneg"])
+    def test_only_two_sign_mode_spellings(self, mode):
+        with pytest.raises(ValueError):
+            build_coefficient_family(G7, 2, mode)
+
     def test_rotation_symmetry_detected(self):
         for h_degree in (3, 4, 5, 6):
             fam = build_coefficient_family(G7, h_degree, "signed")
@@ -247,11 +252,18 @@ class TestDominationExamples:
         assert not dominates(too_big, F)
 
 
+def test_public_names_resolve():
+    import invsp
+
+    for name in invsp.__all__:
+        assert getattr(invsp, name) is not None, name
+
+
 class TestNonnegModeFloor:
     def test_no_pattern_below_basic_term_count(self):
         """With H restricted nonnegative, nothing sparser than F appears."""
-        from invsp.affinefamily import l0_range
+        from invsp.sweep import run_l0_sweep
 
         fam = build_coefficient_family(G7, 6, "nonneg")
-        rep = l0_range(fam, sought=range(1, 17))
+        rep = run_l0_sweep(fam, sought=range(1, 17))
         assert rep.exhaustive and not rep.achievable

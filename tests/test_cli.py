@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from invsp.cli import main
 from invsp.polycore import Polynomial
 
@@ -121,6 +123,18 @@ class TestFamilyCommands:
         assert {3, 4, 5, 8}.issubset(achievable)
         assert 1 not in achievable and 2 not in achievable
 
+    def test_orthant_flags_are_exclusive(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "family", "build", "--group", "scalar:2:2", "--h-degree", "2",
+        )
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(out)
+        code, _, _ = run(
+            capsys, "family", "l0range", "--family", str(fam_file),
+            "--orthant", "--no-orthant",
+        )
+        assert code == 2
+
 
 class TestGaps:
     def test_weighted_report(self, capsys):
@@ -201,12 +215,37 @@ def test_verify_paper_ledger(capsys):
     assert all("FAIL" not in l for l in lines)
 
 
-def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("INVSP_BUDGET", "2000")
+def test_budget_env_override(capsys):
+    """The budget comes from ``--budget`` alone; there is no environment override."""
     code = main(
         ["gaps", "--group", "gamma7", "--max-degree", "17", "--targets", "31,35,36",
-         "--format", "json"]
+         "--budget", "2000", "--format", "json"]
     )
     out = capsys.readouterr().out
     assert code == 3
     assert json.loads(out)["exhaustive"] is False
+
+
+def test_verify_paper_budget_reaches_every_sweep(capsys):
+    code, out, _ = run(capsys, "verify-paper", "--budget", "10", "--format", "json")
+    assert code == 1
+    passed = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+    assert passed["sparse-map-unconstrained"] is False
+    assert passed["sparse-map-orthant"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basic-poly", "--group", "gamma7"],
+        ["tensor", "--group", "gamma7", "--h", "h.json"],
+        ["validate", "--group", "gamma7", "poly.json"],
+        ["family", "build", "--group", "gamma7", "--h-degree", "2"],
+        ["family", "instantiate", "--family", "fam.json", "--point", "{}"],
+        ["closure", "--base", "base.json", "--bound", "10"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]) if argv[0] == "family" else argv[0],
+)
+def test_jobs_only_on_sweeping_subcommands(capsys, argv):
+    code, _, err = run(capsys, *argv, "--jobs", "2")
+    assert code == 2 and "unrecognized arguments: --jobs 2" in err

@@ -66,8 +66,8 @@ class TestSweeps:
 
     def test_monotone_in_degree(self):
         g = GroupSpec.weighted(7, 2)
-        small = achievable_set(g, 9, "signed", value_cap=25)
-        large = achievable_set(g, 13, "signed", value_cap=25)
+        small = achievable_set(g, 9, "signed", targets=range(26))
+        large = achievable_set(g, 13, "signed", targets=range(26))
         assert small.exhaustive and large.exhaustive
         assert set(small.achievable) <= set(large.achievable)
 

@@ -18,8 +18,10 @@ Structure of the search, mirroring a by-hand case analysis:
    Propagation runs on the slot forms scaled to integers, one pass per
    form, with bounds kept as ints wherever they are integral; the LP rows
    use the rational forms.
-3. Branches whose attainable value interval cannot contribute a still
-   undecided sought value are pruned.
+3. Regions are settled in walk order, each against the sought values no
+   earlier region has witnessed, and branches whose attainable value
+   interval cannot contribute a still undecided value are pruned.  A
+   region explored ahead of its turn against another set is settled again.
 4. An order-3 variable rotation, when the family is symmetric under it,
    cuts the region lattice by up to a factor of three.
 
@@ -260,9 +262,10 @@ def _propagate_box(boxes, forms, rounds: int = 3) -> bool:
 
 
 class _RegionOutcome:
-    __slots__ = ("found", "complete", "stats")
+    __slots__ = ("sought", "found", "complete", "stats")
 
-    def __init__(self, found, complete, stats):
+    def __init__(self, sought, found, complete, stats):
+        self.sought = sought  # the values the region was explored against
         self.found = found
         self.complete = complete
         self.stats = stats
@@ -294,7 +297,7 @@ def _explore_region(
             n_base += 1
         else:
             stats.regions_infeasible += 1
-            return _RegionOutcome({}, True, stats)
+            return _RegionOutcome(sought, {}, True, stats)
 
     # parameter boxes for the region
     boxes: List[Optional[tuple]] = [None] * len(comp.names)
@@ -311,7 +314,7 @@ def _explore_region(
         ok = _propagate_box(boxes, [(c, it) for _, c, it in reduced])
         if not ok:
             stats.regions_infeasible += 1
-            return _RegionOutcome({}, True, stats)
+            return _RegionOutcome(sought, {}, True, stats)
 
     def rational(slot):  # the slot's rational form over the support, for the LP
         return slot.const, tuple((p, w) for p, w in slot.items if p not in zero_positions)
@@ -323,7 +326,7 @@ def _explore_region(
         if comp.orthant:
             if fmax is not None and (fmax < 0 or (fmax == 0 and not max_att)):
                 stats.regions_infeasible += 1
-                return _RegionOutcome({}, True, stats)
+                return _RegionOutcome(sought, {}, True, stats)
             if fmax is not None and fmax == 0:
                 forced_zero.append(rational(slot))
                 continue
@@ -341,7 +344,7 @@ def _explore_region(
 
     # the value window: no count this region can reach is still sought
     if not any(n_base <= v <= n_base + len(ambiguous) for v in remaining):
-        return _RegionOutcome({}, True, stats)
+        return _RegionOutcome(sought, {}, True, stats)
 
     n_vars = len(support) + 1  # support parameters plus slack t
     pos_of = {p: k for k, p in enumerate(support)}
@@ -458,13 +461,13 @@ def _explore_region(
             start = solve([], [], ambiguous)
             if start is None:
                 stats.regions_infeasible += 1
-                return _RegionOutcome({}, True, stats)
+                return _RegionOutcome(sought, {}, True, stats)
             dfs([], [], ambiguous, start)
         else:
             dfs([], [], ambiguous, None)
     except _BudgetExhausted:
         complete = False
-    return _RegionOutcome(found, complete, stats)
+    return _RegionOutcome(sought, found, complete, stats)
 
 
 # -- the sign-region walk and the public sweep -----------------------------------
@@ -532,12 +535,14 @@ def _explore_chunk(comp: _Compiled, sought: FrozenSet[int], tasks):
     return [_explore_region(comp, sigma, sought, cap) for sigma, cap in tasks]
 
 
-def _explored_ahead(walk, comp, sought, budget: int, jobs: int, stats: SweepStats):
+def _explored_ahead(walk, comp, undecided, budget: int, jobs: int, stats: SweepStats):
     """The walk's items, each region explored ahead of time by a worker.
 
-    Yields ``(sigma, ticks, outcome)``.  A region's worker cap is the budget
-    left when its chunk was sent, so it is never below the cap the region
-    gets in walk order; the caller settles any region that does not fit.
+    Yields ``(sigma, ticks, outcome)``.  A chunk is explored against
+    ``undecided()``, the values still undecided when it is sent, and a
+    region's worker cap is the budget left then, so it is never below the
+    cap the region gets in walk order.  The caller re-settles any region
+    whose set has shrunk since, or that does not fit its exact cap.
     """
     pool = ProcessPoolExecutor(jobs)
     pending = deque()
@@ -548,7 +553,8 @@ def _explored_ahead(walk, comp, sought, budget: int, jobs: int, stats: SweepStat
                 if not chunk:
                     break
                 tasks = [(s, budget - t - stats.nodes) for s, t in chunk if s is not None]
-                pending.append((chunk, pool.submit(_explore_chunk, comp, sought, tasks)))
+                future = pool.submit(_explore_chunk, comp, undecided(), tasks)
+                pending.append((chunk, future))
             if not pending:
                 return
             chunk, future = pending.popleft()
@@ -591,10 +597,11 @@ def run_l0_sweep(
 
     stats = SweepStats()
     found: Dict[int, Dict[str, Rat]] = {}
+    remaining = sought_set  # the sought values no region has witnessed yet
     exhaustive = True
     walk = _walk(comp, perm, h_degree_exact, skip_all_zero, budget)
     if jobs > 1:
-        items = _explored_ahead(walk, comp, sought_set, budget, jobs, stats)
+        items = _explored_ahead(walk, comp, lambda: remaining, budget, jobs, stats)
     else:
         items = ((sigma, ticks, None) for sigma, ticks in walk)
     with closing(items):
@@ -606,13 +613,19 @@ def run_l0_sweep(
             if sigma is None:
                 break
             stats.regions_total += 1
-            if ahead is not None and ahead.complete and ahead.stats.nodes <= cap:
-                outcome = ahead  # what exploring with the exact cap gives
+            if (
+                ahead is not None
+                and ahead.sought == remaining
+                and ahead.complete
+                and ahead.stats.nodes <= cap
+            ):
+                outcome = ahead  # what exploring here with the exact cap gives
             else:
-                outcome = _explore_region(comp, sigma, sought_set, cap)
+                outcome = _explore_region(comp, sigma, remaining, cap)
             stats.merge(outcome.stats)
-            for value, point in outcome.found.items():
-                found.setdefault(value, point)
+            if outcome.found:  # only values in remaining: each one is new
+                found.update(outcome.found)
+                remaining = sought_set - found.keys()
             if not outcome.complete:
                 exhaustive = False
                 break

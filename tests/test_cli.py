@@ -215,17 +215,6 @@ def test_verify_paper_ledger(capsys):
     assert all("FAIL" not in l for l in lines)
 
 
-def test_budget_env_override(capsys):
-    """The budget comes from ``--budget`` alone; there is no environment override."""
-    code = main(
-        ["gaps", "--group", "gamma7", "--max-degree", "17", "--targets", "31,35,36",
-         "--budget", "2000", "--format", "json"]
-    )
-    out = capsys.readouterr().out
-    assert code == 3
-    assert json.loads(out)["exhaustive"] is False
-
-
 def test_verify_paper_budget_reaches_every_sweep(capsys):
     code, out, _ = run(capsys, "verify-paper", "--budget", "10", "--format", "json")
     assert code == 1

@@ -270,28 +270,44 @@ class TestSignRegionWalk:
         assert not rep.exhaustive
         assert rep.certified_absent == []
 
-    @pytest.mark.parametrize("orthant", [True, False])
-    def test_budget_counts_lattice_and_search_nodes(self, orthant):
-        fam = self.cubic()
+    @staticmethod
+    def sweep_nodes(fam, orthant):
+        """(lattice nodes, search nodes) of the full sweep, and its report."""
         full = run_l0_sweep(fam, orthant=orthant)
         assert full.exhaustive
         lattice_nodes, width = 1, 1
         for choices in sweep._Compiled(fam, orthant).choices:
             width *= len(choices)
             lattice_nodes += width
-        need = lattice_nodes + full.stats.nodes
+        return lattice_nodes, full.stats.nodes, full
+
+    @pytest.mark.parametrize("orthant", [True, False])
+    def test_budget_counts_lattice_and_search_nodes(self, orthant):
+        fam = self.cubic()
+        lattice_nodes, search_nodes, full = self.sweep_nodes(fam, orthant)
+        need = lattice_nodes + search_nodes
         assert run_l0_sweep(fam, orthant=orthant, budget=need).to_json_dict() == (
             full.to_json_dict()
         )
         assert not run_l0_sweep(fam, orthant=orthant, budget=need - 1).exhaustive
 
-    @pytest.mark.parametrize("budget", [10, 300])
+    @pytest.mark.parametrize("cut", [10, "half", "full"])
     @pytest.mark.parametrize("orthant", [True, False])
-    def test_jobs_do_not_change_cut_reports(self, orthant, budget):
+    def test_jobs_do_not_change_cut_reports(self, orthant, cut):
+        """``half`` stops in mid-search after some values are found."""
         fam = self.cubic()
+        budget = cut
+        if cut != 10:
+            lattice_nodes, search_nodes, _ = self.sweep_nodes(fam, orthant)
+            budget = lattice_nodes + search_nodes // (2 if cut == "half" else 1)
         seq = run_l0_sweep(fam, orthant=orthant, budget=budget, jobs=1)
         par = run_l0_sweep(fam, orthant=orthant, budget=budget, jobs=2)
-        assert not seq.exhaustive
+        if cut == "full":
+            assert seq.exhaustive
+        else:
+            assert not seq.exhaustive
+        if cut == "half":
+            assert seq.achievable
         assert par.to_json_dict() == seq.to_json_dict()
 
     def test_jobs_do_not_change_degree17_report(self):

@@ -8,7 +8,8 @@ The sweep must produce exactly the same value set, in both the orthant
 confirms that randomly instantiated points never realize a value the
 sweep failed to report.  Last, the exact witness points of the cubic
 scalar family are pinned to a fixture: the LP follows a fixed pivot rule,
-so any change to the LP layer must reproduce them bit for bit.
+so any change to the LP layer must reproduce them bit for bit.  Settling
+each region against only the values still undecided keeps them too.
 """
 
 import json
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invsp import sweep
 from invsp.affinefamily import build_coefficient_family, pattern_feasible
 from invsp.groups import GroupSpec
 from invsp.sweep import run_l0_sweep
@@ -86,3 +88,31 @@ def test_cubic_scalar_witnesses_are_pinned(orthant):
     rep = run_l0_sweep(fam, orthant=orthant)
     expected = WITNESSES["orthant" if orthant else "free_sign"]
     assert rep.to_json_dict()["achievable"] == expected
+
+
+@pytest.mark.parametrize("orthant", [True, False])
+def test_regions_seek_only_undecided_values(orthant, monkeypatch):
+    """No region searches for a value an earlier region has witnessed."""
+    found, overlaps = set(), []
+    explore = sweep._explore_region
+
+    def spy(comp, sigma, sought, cap):
+        overlaps.append(sought & found)
+        outcome = explore(comp, sigma, sought, cap)
+        found.update(outcome.found)
+        return outcome
+
+    monkeypatch.setattr(sweep, "_explore_region", spy)
+    fam = build_coefficient_family(GroupSpec.scalar(3, 2), 3, "signed")
+    rep = run_l0_sweep(fam, orthant=orthant)
+    assert overlaps and not any(overlaps)
+    expected = WITNESSES["orthant" if orthant else "free_sign"]
+    values = range(len(fam.slots) + 1)
+    report = rep.to_json_dict()
+    del report["stats"]
+    assert report == {
+        "achievable": expected,
+        "sought": list(values),
+        "certified_absent": [v for v in values if str(v) not in expected],
+        "exhaustive": True,
+    }

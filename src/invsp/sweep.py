@@ -9,8 +9,14 @@ requested set of candidate values, exactly which are attained.
 Structure of the search, mirroring a by-hand case analysis:
 
 1. Parameters are split by exact sign (zero / positive / negative where a
-   negative value is allowed), giving a lattice of sign regions.  Within a
-   region, zero parameters are substituted away.
+   negative value is allowed), giving a lattice of sign regions, walked
+   depth first over the parameters in their stored order.  Within a
+   region, zero parameters are substituted away.  On the orthant each
+   prefix is settled before the walk descends: with its zero parameters
+   substituted away, its sign boxes and the family's bounds for the
+   parameters still unsigned are propagated, and the whole subtree is cut
+   when a box empties or a constant slot is negative, or when more slots
+   are positive in every region below than the largest sought value.
 2. Interval propagation over the region's parameter box decides most slot
    forms outright (always positive, identically zero, forced zero, or a
    witness that the region is empty); only genuinely ambiguous forms are
@@ -26,10 +32,14 @@ Structure of the search, mirroring a by-hand case analysis:
    cuts the region lattice by up to a factor of three.
 
 One budget bounds the whole sweep: every node of the sign lattice and
-every search node inside a region costs one unit.  Regions are settled in
-the lattice walk's order, and the sweep stops, marked non-exhaustive, where
-the budget runs out.  Worker processes only explore regions ahead of that
-order, so reports are reproducible and independent of worker count.
+every search node inside a region costs one unit, and a subtree cut at a
+prefix costs all of its lattice nodes.  A cut region is one the region
+search would have left without a node, so a budget reaches exactly the
+regions it reached without the cuts.  Regions are settled in the lattice
+walk's order, and the sweep stops, marked non-exhaustive, where the budget
+runs out, or, exhaustive, once every sought value is witnessed.  Worker
+processes only explore regions ahead of that order, so reports are
+reproducible and independent of worker count.
 """
 
 from __future__ import annotations
@@ -62,6 +72,8 @@ class SweepStats:
     regions_infeasible: int = 0
     leaves: int = 0
     pivots: int = 0  # simplex pivots summed over every LP call
+    pruned_box: int = 0  # lattice subtrees cut at a prefix by an empty box
+    pruned_window: int = 0  # ... by more positive slots than any sought value
 
     def merge(self, other: "SweepStats") -> None:
         for f in fields(self):
@@ -70,7 +82,13 @@ class SweepStats:
 
 @dataclass
 class L0Report:
-    """Outcome of a sweep: witnessed values, certified absences, coverage."""
+    """Outcome of a sweep: witnessed values, certified absences, coverage.
+
+    ``exhaustive`` means every sought value is settled: witnessed, or
+    certified absent by a sweep that ran to completion.  A sweep that
+    witnesses every sought value stops there and is exhaustive, with
+    nothing certified absent.
+    """
 
     achievable: Dict[int, Dict[str, Rat]]
     sought: FrozenSet[int]
@@ -198,6 +216,17 @@ def _interval_of(const, items, boxes):
     return fmin, min_att, fmax, max_att
 
 
+def _signed_box(box, s: int):
+    """The part of a parameter box where the parameter has sign s (+1 or -1)."""
+    lo, hi, lo_excl, hi_excl = box
+    if s > 0:
+        if lo is None or lo <= 0:
+            lo, lo_excl = 0, True
+    elif hi is None or hi >= 0:
+        hi, hi_excl = 0, True
+    return lo, hi, lo_excl, hi_excl
+
+
 def _quotient(num, den: int):
     """num / den, as an int when it is integral and as a Rat otherwise."""
     if type(num) is int:
@@ -302,13 +331,7 @@ def _explore_region(
     # parameter boxes for the region
     boxes: List[Optional[tuple]] = [None] * len(comp.names)
     for i in support:
-        lo, hi = comp.lo[i], comp.hi[i]
-        if sigma[i] > 0:
-            lo = 0 if lo is None or lo < 0 else lo
-            boxes[i] = (lo, hi, lo == 0, False)
-        else:
-            hi = 0 if hi is None or hi > 0 else hi
-            boxes[i] = (lo, hi, False, hi == 0)
+        boxes[i] = _signed_box((comp.lo[i], comp.hi[i], False, False), sigma[i])
 
     if comp.orthant:
         ok = _propagate_box(boxes, [(c, it) for _, c, it in reduced])
@@ -484,6 +507,16 @@ def _canonical(sigma: Tuple[int, ...], perm: Sequence[int]) -> bool:
     return True
 
 
+def _orbit_perm(fam: AffineFamily, comp: _Compiled) -> Optional[Sequence[int]]:
+    """The rotation the orbit cut uses, or None when it would be unsound."""
+    perm = fam.symmetry[0] if fam.symmetry else None
+    if perm is not None and any(
+        comp.choices[i] != comp.choices[perm[i]] for i in range(len(perm))
+    ):
+        return None  # asymmetric bounds
+    return perm
+
+
 def _region_ok(comp: _Compiled, sigma, h_degree_exact, skip_all_zero) -> bool:
     if skip_all_zero and all(s == 0 for s in sigma):
         return False
@@ -495,37 +528,150 @@ def _region_ok(comp: _Compiled, sigma, h_degree_exact, skip_all_zero) -> bool:
     return True
 
 
-def _walk(comp: _Compiled, perm, h_degree_exact, skip_all_zero, limit: int):
+_BOX, _WINDOW = 0, 1  # the prefix cut rules, as indices into the cut counts
+
+
+class _Prefix:
+    """A sign prefix on the orthant, as every region below it shares it.
+
+    ``forms`` holds each slot's integer form with the zero parameters
+    substituted away, or None once the slot is settled: vanishing, or
+    positive in every region below (counted in ``n_pos``).  ``boxes`` holds
+    the sign box of each parameter with a sign, None for a zero one, and
+    the family's own bounds for each parameter without a sign yet.
+
+    Propagation starts from these boxes at every prefix.  It is monotone in
+    the boxes and in the forms (fewer forms, wider boxes), and a parameter
+    substituted by zero acts as the box [0, 0], so a prefix's propagated
+    boxes contain those :func:`_explore_region` computes for any region
+    below it.  A cut prefix therefore holds no region that the region
+    search would spend a node on.
+    """
+
+    __slots__ = ("forms", "boxes", "n_pos")
+
+    def __init__(self, forms, boxes, n_pos: int):
+        self.forms = forms
+        self.boxes = boxes
+        self.n_pos = n_pos
+
+    @classmethod
+    def root(cls, comp: _Compiled, top: int):
+        """The empty prefix and the rule that cuts it (None if it stands)."""
+        forms = [(slot.iconst, slot.iitems) for slot in comp.slots]
+        boxes = [(lo, hi, False, False) for lo, hi in zip(comp.lo, comp.hi)]
+        prefix = cls(forms, boxes, 0)
+        return prefix, prefix._settle(range(len(forms)), top)
+
+    def child(self, p: int, s: int, occurs: Sequence[int], top: int):
+        """The prefix extended by sign s for parameter p, and its cut rule."""
+        forms = list(self.forms)
+        boxes = list(self.boxes)
+        if s == 0:
+            boxes[p] = None
+            for k in occurs:
+                if forms[k] is not None:
+                    const, items = forms[k]
+                    forms[k] = (const, tuple(it for it in items if it[0] != p))
+        else:
+            boxes[p] = _signed_box(boxes[p], s)
+        prefix = _Prefix(forms, boxes, self.n_pos)
+        return prefix, prefix._settle(occurs, top)
+
+    def _settle(self, touched: Sequence[int], top: int):
+        """Settle the slots after a change to the touched ones; the cut rule.
+
+        Cut when a box empties or a constant slot is negative (``_BOX``),
+        or when more than ``top`` slots are positive in every region below
+        (``_WINDOW``).  A slot positive over the propagated boxes stays so
+        in every region below, so it is counted and dropped from the forms.
+        Only a touched slot can have become constant.
+        """
+        forms = self.forms
+        for k in touched:
+            if forms[k] is None or forms[k][1]:
+                continue
+            const = forms[k][0]
+            forms[k] = None
+            if const < 0:
+                return _BOX
+            self.n_pos += const > 0
+        if self.n_pos > top:
+            return _WINDOW
+        active = [k for k, form in enumerate(forms) if form is not None]
+        boxes = list(self.boxes)
+        if not _propagate_box(boxes, [forms[k] for k in active]):
+            return _BOX
+        for k in active:
+            const, items = forms[k]
+            fmin, min_att, _, _ = _interval_of(const, items, boxes)
+            if fmin is not None and (fmin > 0 or (fmin == 0 and not min_att)):
+                forms[k] = None
+                self.n_pos += 1
+        return _WINDOW if self.n_pos > top else None
+
+
+def _walk(comp: _Compiled, perm, h_degree_exact, skip_all_zero, top: int, limit: int):
     """Depth-first walk of the sign lattice, in ``itertools.product`` order.
 
-    Yields ``(sigma, ticks)`` for every region that passes
-    :func:`_region_ok` and, when ``perm`` is given, is canonical under it;
+    Yields ``(sigma, ticks, cuts)`` for every region that passes
+    :func:`_region_ok` and, when ``perm`` is given, is canonical under it.
     ``ticks`` counts the lattice nodes visited so far: the root, every
-    prefix, and sigma's own node.  A final ``(None, ticks)`` closes the
-    walk, which stops early once ``ticks`` exceeds ``limit``.
+    prefix, and sigma's own node, with a cut subtree charged all its nodes;
+    ``cuts`` counts the subtrees cut so far by each rule (box, window).  On
+    the orthant every prefix short of a full region is first settled by
+    :class:`_Prefix` against ``top``, the largest sought value.  A final
+    ``(None, ticks, cuts)`` closes the walk, which stops early once
+    ``ticks`` exceeds ``limit``.
     """
     choices = comp.choices
     n = len(choices)
-    idx = [0] * n
-    sigma = [ch[0] for ch in choices]
-    ticks = n + 1
-    while ticks <= limit:
-        tup = tuple(sigma)
-        if _region_ok(comp, tup, h_degree_exact, skip_all_zero) and (
-            perm is None or _canonical(tup, perm)
-        ):
-            yield tup, ticks
-        j = n - 1  # the deepest parameter with a sign left to try
-        while j >= 0 and idx[j] == len(choices[j]) - 1:
-            idx[j] = 0
-            sigma[j] = choices[j][0]
-            j -= 1
-        if j < 0:
-            break
-        idx[j] += 1
-        sigma[j] = choices[j][idx[j]]
-        ticks += n - j  # the new path's nodes for parameters j..n-1
-    yield None, ticks
+    below = [0] * (n + 1)  # the lattice nodes under a prefix of each length
+    for j in reversed(range(n)):
+        below[j] = len(choices[j]) * (1 + below[j + 1])
+    occurs: List[List[int]] = [[] for _ in range(n)]
+    for k, slot in enumerate(comp.slots):
+        for p, _ in slot.iitems:
+            occurs[p].append(k)
+    cuts = [0, 0]
+    prefixes: List[Optional[_Prefix]] = [None] * n
+    sigma = [0] * n
+    nxt = [0] * n  # the next sign to try at each depth
+    ticks = 1  # the root
+    depth = 0
+    if comp.orthant and n:
+        prefixes[0], rule = _Prefix.root(comp, top)
+        if rule is not None:
+            cuts[rule] += 1
+            ticks += below[0]
+            depth = -1
+    while depth >= 0 and ticks <= limit:
+        if depth == n:
+            tup = tuple(sigma)
+            if _region_ok(comp, tup, h_degree_exact, skip_all_zero) and (
+                perm is None or _canonical(tup, perm)
+            ):
+                yield tup, ticks, tuple(cuts)
+            depth -= 1
+            continue
+        c = nxt[depth]
+        if c == len(choices[depth]):
+            nxt[depth] = 0
+            depth -= 1
+            continue
+        nxt[depth] = c + 1
+        s = sigma[depth] = choices[depth][c]
+        ticks += 1
+        parent = prefixes[depth]
+        if parent is not None and depth + 1 < n:
+            prefix, rule = parent.child(depth, s, occurs[depth], top)
+            if rule is not None:
+                cuts[rule] += 1
+                ticks += below[depth + 1]
+                continue
+            prefixes[depth + 1] = prefix
+        depth += 1
+    yield None, ticks, tuple(cuts)
 
 
 _CHUNK = 64  # regions per worker task; changes wall time only, never a report
@@ -538,7 +684,7 @@ def _explore_chunk(comp: _Compiled, sought: FrozenSet[int], tasks):
 def _explored_ahead(walk, comp, undecided, budget: int, jobs: int, stats: SweepStats):
     """The walk's items, each region explored ahead of time by a worker.
 
-    Yields ``(sigma, ticks, outcome)``.  A chunk is explored against
+    Yields ``(sigma, ticks, cuts, outcome)``.  A chunk is explored against
     ``undecided()``, the values still undecided when it is sent, and a
     region's worker cap is the budget left then, so it is never below the
     cap the region gets in walk order.  The caller re-settles any region
@@ -552,15 +698,15 @@ def _explored_ahead(walk, comp, undecided, budget: int, jobs: int, stats: SweepS
                 chunk = list(itertools.islice(walk, _CHUNK))
                 if not chunk:
                     break
-                tasks = [(s, budget - t - stats.nodes) for s, t in chunk if s is not None]
+                tasks = [(s, budget - t - stats.nodes) for s, t, _ in chunk if s is not None]
                 future = pool.submit(_explore_chunk, comp, undecided(), tasks)
                 pending.append((chunk, future))
             if not pending:
                 return
             chunk, future = pending.popleft()
             outcomes = iter(future.result())
-            for sigma, ticks in chunk:
-                yield sigma, ticks, None if sigma is None else next(outcomes)
+            for sigma, ticks, cuts in chunk:
+                yield sigma, ticks, cuts, None if sigma is None else next(outcomes)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -580,6 +726,7 @@ def run_l0_sweep(
     ``sought`` defaults to every value from 0 to the number of slots.  The
     report's ``certified_absent`` lists sought values proven unattainable;
     it is only populated when the sweep ran to completion (``exhaustive``).
+    The sweep stops as soon as every sought value is witnessed.
     """
     if orthant is None:
         orthant = fam.orthant_default
@@ -589,23 +736,20 @@ def run_l0_sweep(
         frozenset(range(n_slots + 1)) if sought is None else frozenset(int(v) for v in sought)
     )
 
-    perm = fam.symmetry[0] if fam.symmetry else None
-    if perm is not None and any(
-        comp.choices[i] != comp.choices[perm[i]] for i in range(len(perm))
-    ):
-        perm = None  # asymmetric bounds: orbit pruning would be unsound
-
+    perm = _orbit_perm(fam, comp)
     stats = SweepStats()
     found: Dict[int, Dict[str, Rat]] = {}
     remaining = sought_set  # the sought values no region has witnessed yet
     exhaustive = True
-    walk = _walk(comp, perm, h_degree_exact, skip_all_zero, budget)
+    top = max(sought_set, default=-1)  # not remaining: the walk is the same for any --jobs
+    walk = _walk(comp, perm, h_degree_exact, skip_all_zero, top, budget)
     if jobs > 1:
         items = _explored_ahead(walk, comp, lambda: remaining, budget, jobs, stats)
     else:
-        items = ((sigma, ticks, None) for sigma, ticks in walk)
+        items = ((sigma, ticks, cuts, None) for sigma, ticks, cuts in walk)
     with closing(items):
-        for sigma, ticks, ahead in items:
+        for sigma, ticks, cuts, ahead in items:
+            stats.pruned_box, stats.pruned_window = cuts
             cap = budget - ticks - stats.nodes  # lattice and search nodes share it
             if cap < 0:
                 exhaustive = False
@@ -626,6 +770,8 @@ def run_l0_sweep(
             if outcome.found:  # only values in remaining: each one is new
                 found.update(outcome.found)
                 remaining = sought_set - found.keys()
+                if not remaining:
+                    break  # every sought value is witnessed
             if not outcome.complete:
                 exhaustive = False
                 break

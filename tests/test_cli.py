@@ -168,6 +168,18 @@ class TestGaps:
         assert code == 3
         assert json.loads(out)["exhaustive"] is False
 
+    def test_sweep_stops_once_every_target_is_witnessed(self, capsys):
+        """H = 0 gives 17 terms in the first region; nothing else is sought."""
+        code, out, _ = run(
+            capsys,
+            "gaps", "--group", "gamma7", "--max-degree", "17",
+            "--targets", "17", "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert set(data["found"]) == {"17"} and data["exhaustive"] is True
+        assert data["stats"]["regions_total"] == 1
+
     def test_signed_flag_removed(self, capsys):
         code, _, _ = run(
             capsys, "gaps", "--group", "weighted:5:2", "--max-degree", "9", "--signed"

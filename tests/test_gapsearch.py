@@ -27,7 +27,7 @@ from invsp.transform import tensor_step, validate_special
 G7 = GroupSpec.gamma7()
 F7 = basic_poly_closed(G7)
 STATS_KEYS = {"nodes", "lp_calls", "regions_total", "regions_explored",
-              "regions_infeasible", "leaves", "pivots"}
+              "regions_infeasible", "leaves", "pivots", "pruned_box", "pruned_window"}
 
 
 class TestSweeps:
@@ -271,9 +271,9 @@ class TestSignRegionWalk:
         assert rep.certified_absent == []
 
     @staticmethod
-    def sweep_nodes(fam, orthant):
+    def sweep_nodes(fam, orthant, sought=None):
         """(lattice nodes, search nodes) of the full sweep, and its report."""
-        full = run_l0_sweep(fam, orthant=orthant)
+        full = run_l0_sweep(fam, orthant=orthant, sought=sought)
         assert full.exhaustive
         lattice_nodes, width = 1, 1
         for choices in sweep._Compiled(fam, orthant).choices:
@@ -290,6 +290,24 @@ class TestSignRegionWalk:
             full.to_json_dict()
         )
         assert not run_l0_sweep(fam, orthant=orthant, budget=need - 1).exhaustive
+
+    def test_budget_counts_cut_subtrees(self):
+        """A subtree cut at a prefix costs exactly its lattice nodes."""
+        fam = build_coefficient_family(G7, 6, "signed")
+        sought = sorted(set(range(1, 29)) | {31, 35, 36})
+        lattice_nodes, search_nodes, full = self.sweep_nodes(fam, True, sought)
+        assert full.stats.pruned_box and full.stats.pruned_window
+        need = lattice_nodes + search_nodes
+        rep = run_l0_sweep(fam, sought=sought, budget=need)
+        assert rep.to_json_dict() == full.to_json_dict()
+        assert not run_l0_sweep(fam, sought=sought, budget=need - 1).exhaustive
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_stops_once_every_value_is_witnessed(self, jobs):
+        rep = run_l0_sweep(self.degree17(), sought=[17], jobs=jobs)
+        assert sorted(rep.achievable) == [17]
+        assert rep.exhaustive and rep.certified_absent == []
+        assert rep.stats.regions_total == 1
 
     @pytest.mark.parametrize("cut", [10, "half", "full"])
     @pytest.mark.parametrize("orthant", [True, False])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Iterable, List, Mapping
 
 from .polycore import DimensionMismatchError, Monomial, Polynomial, grlex_key
@@ -145,7 +146,8 @@ def is_invariant(g: GroupSpec, f: Polynomial) -> bool:
         raise DimensionMismatchError(
             f"polynomial has {f.nvars} variables, group acts on {g.nvars}"
         )
-    return all(is_invariant_monomial(g, mono) for mono in f.terms)
+    weights, order = g.weights, g.order
+    return all(sum(map(mul, weights, mono)) % order == 0 for mono in f.terms)
 
 
 def enumerate_invariant_monomials(g: GroupSpec, max_degree: int) -> List[Monomial]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from math import lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .rat import Rat, RatLike, rat, rat_str
@@ -33,6 +34,30 @@ class DimensionMismatchError(ValueError):
 def grlex_key(mono: Monomial) -> tuple:
     """Sort key for graded-lexicographic order with x > y > z."""
     return (sum(mono), mono)
+
+
+def radix_place_values(ndigits: int, width: int) -> tuple[int, ...]:
+    """Place values of a mixed-radix key, most significant digit first.
+
+    A monomial whose exponents are all below ``width`` is keyed by the one
+    int ``sum(e * p for e, p in zip(mono, places))``.  The key is linear in
+    the exponents, so multiplying two monomials adds their keys, and
+    :func:`radix_decode` turns a key back into its exponent tuple.
+    """
+    return tuple(width ** (ndigits - 1 - i) for i in range(ndigits))
+
+
+def radix_decode(key: int, width: int, places: tuple[int, ...]) -> Monomial:
+    """The digits of a key whose every digit is below ``width``."""
+    return tuple([key // p % width for p in places])
+
+
+def integer_terms(terms: Mapping[Monomial, Rat]) -> tuple[list[tuple[Monomial, int]], int]:
+    """The terms with coefficients times L, the lcm of their denominators, and L."""
+    scale = lcm(*(int(c.denominator) for c in terms.values()))
+    return [
+        (mono, int(c.numerator) * (scale // int(c.denominator))) for mono, c in terms.items()
+    ], scale
 
 
 def _validate_mono(mono, nvars: int) -> Monomial:
@@ -119,7 +144,7 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(sum(m) for m in self._terms)
+        return max(map(sum, self._terms))
 
     def coefficient(self, mono: Iterable[int]) -> Rat:
         return self._terms.get(_validate_mono(mono, self.nvars), rat(0))
@@ -188,20 +213,35 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        """Exact product with a polynomial, or scaling by a rational.
+
+        Each operand is scaled once to Python ints by the lcm of its
+        denominators and each monomial keyed by one int, its exponents as
+        digits in base ``deg(self) + deg(other) + 2``, so a product of
+        monomials is a sum of keys.  The int products are accumulated per
+        key, and each output term is one rational ``v / (la * lb)``.
+        """
         if isinstance(other, Polynomial):
             self._check_same_dim(other)
-            out: dict[Monomial, Rat] = {}
-            for ma, ca in self._terms.items():
-                for mb, cb in other._terms.items():
-                    mono = tuple(a + b for a, b in zip(ma, mb))
-                    prod = ca * cb
-                    s = out.get(mono)
-                    s = prod if s is None else s + prod
-                    if s == 0:
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = s
-            return Polynomial._raw(self.nvars, out)
+            n = self.nvars
+            if not self._terms or not other._terms:
+                return Polynomial.zero(n)
+            width = self.degree() + other.degree() + 2
+            places = radix_place_values(n, width)
+            a, la = integer_terms(self._terms)
+            b, lb = integer_terms(other._terms)
+            b_keyed = [(sum(map(mul, mono, places)), v) for mono, v in b]
+            out: dict[int, int] = {}
+            get = out.get
+            for mono, va in a:
+                ka = sum(map(mul, mono, places))
+                for kb, vb in b_keyed:
+                    key = ka + kb
+                    out[key] = get(key, 0) + va * vb
+            den = la * lb
+            return Polynomial._raw(
+                n, {radix_decode(key, width, places): Rat(v, den) for key, v in out.items() if v}
+            )
         # scalar
         try:
             c = rat(other)
@@ -253,31 +293,38 @@ class Polynomial:
         polynomial is grouped by its last exponent as f = sum_e z^e P_e.
         From the top e down, acc = acc * (1 - x - y ...) + P_e; each step
         adds an entry of acc at its own monomial and subtracts it at the
-        monomial shifted up in each of the other variables.  The result is
-        acc / L.
+        monomial shifted up in each of the other variables.  The entries are
+        keyed by one int per monomial, its exponents as digits in base
+        ``degree + 2``, so a shift up adds that variable's place value; the
+        keys are decoded to exponent tuples once, at the end, and the result
+        is acc / L.
         """
         if self.nvars not in (1, 2, 3):
             raise DimensionMismatchError(
                 f"hyperplane restriction supports 1-3 variables, got {self.nvars}"
             )
         k = self.nvars - 1
-        scale = lcm(*(int(c.denominator) for c in self._terms.values()))
-        layers: dict[int, dict[Monomial, int]] = {}
-        for mono, c in self._terms.items():
-            num = int(c.numerator) * (scale // int(c.denominator))
-            layers.setdefault(mono[k], {})[mono[:k]] = num
-        acc: dict[Monomial, int] = {}
+        width = self.degree() + 2
+        places = radix_place_values(k, width)
+        terms, scale = integer_terms(self._terms)
+        layers: dict[int, dict[int, int]] = {}
+        for mono, num in terms:
+            layers.setdefault(mono[k], {})[sum(map(mul, mono, places))] = num
+        acc: dict[int, int] = {}
         for e in range(max(layers, default=-1), -1, -1):
-            step = dict(layers.get(e, ()))
-            for mono, v in acc.items():
+            step = layers.pop(e, {})
+            get = step.get
+            for key, v in acc.items():
                 if not v:
                     continue
-                step[mono] = step.get(mono, 0) + v
-                for i in range(k):
-                    up = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
-                    step[up] = step.get(up, 0) - v
+                step[key] = get(key, 0) + v
+                for place in places:
+                    up = key + place
+                    step[up] = get(up, 0) - v
             acc = step
-        return Polynomial._raw(k, {m: rat(v, scale) for m, v in acc.items() if v})
+        return Polynomial._raw(
+            k, {radix_decode(key, width, places): Rat(v, scale) for key, v in acc.items() if v}
+        )
 
     def evaluate(self, point: Iterable[RatLike]) -> Rat:
         values = [rat(v) for v in point]

@@ -215,9 +215,10 @@ def _pivot_loop(tableau, basis, z_row) -> Tuple[str, int]:
 def _pivot(tableau, basis, row_i, col_j, z_row=None) -> Optional[List[int]]:
     """Make col_j basic in row_i, whose entry there must be positive.
 
-    Every other row, and the z-row, becomes ``p*row - row[col_j]*pivot_row``
-    over the pivot row's nonzero cells, reduced by its gcd; the updated
-    z-row is returned.
+    Every other row with a nonzero entry in col_j, and the z-row, becomes
+    ``p*row - row[col_j]*pivot_row`` over the pivot row's nonzero cells,
+    reduced by its gcd; rows with a 0 there are left as they are.  The
+    updated z-row is returned.
     """
     pivot_row = tableau[row_i]
     p = pivot_row[col_j]
@@ -227,18 +228,18 @@ def _pivot(tableau, basis, row_i, col_j, z_row=None) -> Optional[List[int]]:
 
     def eliminate(row):
         f = row[col_j]
-        if not f:
-            return row
         new = row[:] if p == 1 else [p * a for a in row]
         for j, b in nonzero:
             new[j] -= f * b
         return _reduce(new)
 
     for i, row in enumerate(tableau):
-        if i != row_i:
+        if row[col_j] and i != row_i:
             tableau[i] = eliminate(row)
     basis[row_i] = col_j
-    return None if z_row is None else eliminate(z_row)
+    if z_row is None or not z_row[col_j]:
+        return z_row
+    return eliminate(z_row)
 
 
 def _drive_out_artificials(tableau, basis, art_start) -> int:

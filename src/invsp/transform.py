@@ -12,11 +12,21 @@ into unconditional statements.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from heapq import heapify, heappop, heappush
+from math import gcd
+from operator import mul
 
 from .construct import basic_poly_closed
 from .groups import GroupSpec, is_invariant
-from .polycore import DimensionMismatchError, Polynomial, is_one_on_hyperplane
-from .rat import rat
+from .polycore import (
+    DimensionMismatchError,
+    Polynomial,
+    integer_terms,
+    is_one_on_hyperplane,
+    radix_decode,
+    radix_place_values,
+)
+from .rat import Rat
 
 
 @dataclass(frozen=True)
@@ -62,7 +72,7 @@ def validate_special(g: GroupSpec, f: Polynomial) -> SpecialReport:
     return SpecialReport(
         invariant=is_invariant(g, f),
         constant_on_hyperplane=is_one_on_hyperplane(f),
-        nonneg=all(c > 0 for c in f.terms.values()),
+        nonneg=all(c.numerator > 0 for c in f.terms.values()),
         zero_at_origin=f.constant_term() == 0,
         n_terms=f.term_count(),
         degree=f.degree(),
@@ -89,30 +99,63 @@ def quotient_H(g: GroupSpec, G: Polynomial) -> Polynomial:
     """Recover the unique H with G = F - H + H*F, F the basic polynomial.
 
     Computed by exact division of G - F by F - 1 with graded-lex leading
-    term reduction.  A nonzero remainder means G is not in the family
-    generated by F and raises ``ValueError``.
+    term reduction, in place on one map of Python ints.  G - F is scaled by
+    the lcm of its denominators and F - 1 by that of its own.  Each monomial
+    is keyed by one int whose digits in base ``degree + 2`` are its total
+    degree and then its exponents, so the int order is the graded-lex order
+    and a product of monomials is a sum of keys.  A max-heap of the live
+    keys yields each leading term, and a step touches only the terms of
+    F - 1.  A nonzero remainder means G is not in the family generated by F
+    and raises ``ValueError`` naming the first (largest) stray term.
     """
     F = basic_poly_closed(g)
     if G.nvars != F.nvars:
         raise DimensionMismatchError("polynomial dimension does not match group")
-    divisor = F - Polynomial.one(F.nvars)
-    lead_mono, lead_coeff = divisor.leading_term()
-    remainder_terms = {}
+    n = F.nvars
     current = G - F
-    quotient = Polynomial.zero(F.nvars)
-    while not current.is_zero():
-        mono, coeff = current.leading_term()
-        if all(a >= b for a, b in zip(mono, lead_mono)):
-            shift = tuple(a - b for a, b in zip(mono, lead_mono))
-            q_term = Polynomial.monomial(F.nvars, shift, coeff / lead_coeff)
-            quotient = quotient + q_term
-            current = current - q_term * divisor
-        else:
-            remainder_terms[mono] = coeff
-            current = current - Polynomial.monomial(F.nvars, mono, coeff)
-    if remainder_terms:
-        raise ValueError(
-            "division left a nonzero remainder; the input is not of the form "
-            f"F - H + H*F for this group (first stray term {next(iter(remainder_terms))})"
-        )
-    return quotient
+    divisor = F - Polynomial.one(n)
+    width = max(current.degree(), divisor.degree()) + 2
+    places = radix_place_values(n + 1, width)
+
+    def key(mono):
+        return sum(map(mul, (sum(mono), *mono), places))
+
+    terms, scale = integer_terms(current.terms)  # current = rem / scale
+    rem = {key(mono): v for mono, v in terms}
+    div_terms, div_scale = integer_terms(divisor.terms)
+    lead_mono = divisor.leading_term()[0]
+    lead_key = key(lead_mono)
+    lead = dict(div_terms)[lead_mono]
+    rest = [(key(mono) - lead_key, v) for mono, v in div_terms if mono != lead_mono]
+    heap = [-k for k in rem]
+    heapify(heap)
+    quotient = {}
+    while heap:
+        k = -heappop(heap)
+        c = rem.pop(k, 0)
+        if not c:  # cancelled after it was pushed
+            continue
+        mono = radix_decode(k, width, places)[1:]
+        if any(a < b for a, b in zip(mono, lead_mono)):
+            raise ValueError(
+                "division left a nonzero remainder; the input is not of the form "
+                f"F - H + H*F for this group (first stray term {mono})"
+            )
+        if c % lead:  # scale the remainder up so that lead divides c
+            f = abs(lead) // gcd(c, lead)
+            for t in rem:
+                rem[t] *= f
+            c *= f
+            scale *= f
+        q = c // lead
+        quotient[radix_decode(k - lead_key, width, places)[1:]] = Rat(q * div_scale, scale)
+        for dk, dv in rest:
+            t = k + dk
+            v = rem.get(t, 0) - q * dv
+            if v:
+                if t not in rem:
+                    heappush(heap, -t)
+                rem[t] = v
+            else:
+                rem.pop(t, None)
+    return Polynomial._raw(n, quotient)

@@ -1,0 +1,57 @@
+"""Reference polynomial kernels the integer kernels in invsp are checked against.
+
+These are the straightforward rational versions: a product that multiplies
+every pair of terms in the backend's rationals, and a division of G - F by
+F - 1 that rescans the whole remainder for its leading term at each step.
+They share no code with ``Polynomial.__mul__`` or ``transform.quotient_H``.
+"""
+
+from __future__ import annotations
+
+from invsp.polycore import Polynomial
+
+
+def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b by pairwise products of rational coefficients."""
+    assert a.nvars == b.nvars
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            s = out.get(mono)
+            s = ca * cb if s is None else s + ca * cb
+            if s == 0:
+                out.pop(mono, None)
+            else:
+                out[mono] = s
+    return Polynomial(a.nvars, out)
+
+
+def reference_quotient(F: Polynomial, G: Polynomial) -> Polynomial:
+    """The H with G = F - H + H*F, by graded-lex leading-term division.
+
+    Raises ``ValueError`` naming the first stray term when the division
+    leaves a remainder.
+    """
+    n = F.nvars
+    divisor = F - Polynomial.one(n)
+    lead_mono, lead_coeff = divisor.leading_term()
+    remainder = {}
+    current = G - F
+    quotient = Polynomial.zero(n)
+    while not current.is_zero():
+        mono, coeff = current.leading_term()
+        if all(a >= b for a, b in zip(mono, lead_mono)):
+            shift = tuple(a - b for a, b in zip(mono, lead_mono))
+            q_term = Polynomial.monomial(n, shift, coeff / lead_coeff)
+            quotient = quotient + q_term
+            current = current - reference_mul(q_term, divisor)
+        else:
+            remainder[mono] = coeff
+            current = current - Polynomial.monomial(n, mono, coeff)
+    if remainder:
+        raise ValueError(
+            "division left a nonzero remainder; the input is not of the form "
+            f"F - H + H*F for this group (first stray term {next(iter(remainder))})"
+        )
+    return quotient

@@ -15,6 +15,7 @@ from invsp.groups import (
     rotate_xyz,
 )
 from invsp.polycore import DimensionMismatchError, Polynomial
+from invsp.rat import rat
 
 G7 = GroupSpec.gamma7()
 
@@ -67,6 +68,33 @@ class TestInvariance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             is_invariant_monomial(G7, (1, 1))
+
+    @pytest.mark.parametrize(
+        "g,stray",
+        [
+            (GroupSpec.scalar(3, 1), (2,)),
+            (GroupSpec.scalar(3, 2), (1, 1)),
+            (GroupSpec.weighted(7, 2), (1, 2)),
+            (GroupSpec.weighted(11, 3), (2, 2)),
+            (G7, (1, 2, 0)),
+        ],
+        ids=str,
+    )
+    def test_one_non_invariant_monomial(self, g, stray):
+        from invsp.construct import basic_poly
+
+        F = basic_poly(g, "product")  # the only construction for weighted q = 3
+        assert is_invariant(g, F)
+        assert not is_invariant_monomial(g, stray)
+        assert not is_invariant(g, F + Polynomial.monomial(g.nvars, stray, rat(1, 3)))
+
+    @pytest.mark.parametrize("g", [GroupSpec.scalar(3, 1), GroupSpec.weighted(7, 2), G7], ids=str)
+    def test_polynomial_dimension_mismatch(self, g):
+        for nvars in {1, 2, 3} - {g.nvars}:
+            with pytest.raises(DimensionMismatchError):
+                is_invariant(g, Polynomial.one(nvars))
+            with pytest.raises(DimensionMismatchError):
+                is_invariant(g, Polynomial.zero(nvars))
 
 
 class TestEnumeration:

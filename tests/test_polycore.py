@@ -17,6 +17,7 @@ from invsp.polycore import (
 from invsp.rat import Rat, rat
 
 from conftest import polynomials
+from reference_kernels import reference_mul
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
@@ -85,11 +86,56 @@ class TestRingAxioms:
         assert term_count(a + b_clean) == term_count(a) + term_count(b_clean)
 
 
+def assert_same_product(got, expected):
+    assert got.nvars == expected.nvars
+    assert got.terms == expected.terms
+    assert all(type(c) is Rat and c != 0 for c in got.terms.values())
+
+
+class TestMultiplyKernel:
+    """The integer product against the pairwise rational product."""
+
+    @pytest.mark.parametrize("nvars", [0, 1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_pairwise_product(self, nvars, data):
+        a = data.draw(polynomials(nvars, max_terms=6, max_exp=6))
+        b = data.draw(polynomials(nvars, max_terms=6, max_exp=6))
+        assert_same_product(a * b, reference_mul(a, b))
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_cancelling_products(self, nvars, data):
+        # (a + b)(a - b) = a^2 - b^2: every cross term cancels to zero
+        a = data.draw(polynomials(nvars, max_terms=4, max_exp=5))
+        b = data.draw(polynomials(nvars, max_terms=4, max_exp=5))
+        got = (a + b) * (a - b)
+        assert_same_product(got, reference_mul(a + b, a - b))
+        assert got == reference_mul(a, a) - reference_mul(b, b)
+
+    @pytest.mark.parametrize("nvars", [0, 1, 2, 3])
+    def test_zero_operands(self, nvars):
+        zero = Polynomial.zero(nvars)
+        p = Polynomial.constant(nvars, rat(-3, 7)) + Polynomial.monomial(nvars, (2,) * nvars)
+        for a, b in ((zero, p), (p, zero), (zero, zero)):
+            product = a * b
+            assert product.nvars == nvars and product.is_zero()
+
+    def test_telescoping_to_two_terms(self):
+        one_minus_x = Polynomial(1, {(0,): 1, (1,): -1})
+        geometric = Polynomial(1, {(i,): rat(1, 3) for i in range(70)})
+        assert_same_product(
+            one_minus_x * geometric, Polynomial(1, {(0,): rat(1, 3), (70,): rat(-1, 3)})
+        )
+
+
 def substitute_hyperplane(f):
     """Reference restriction: the Polynomial-arithmetic substitution.
 
-    Each term becomes a one-term polynomial times (1 - x - y ...)^e, summed
-    with Polynomial +; the integer Horner pass must give the same result.
+    Each term becomes a one-term polynomial times (1 - x - y ...)^e, the
+    products taken pairwise in rationals and summed with Polynomial +; the
+    integer Horner pass must give the same result.
     """
     k = f.nvars - 1
     repl_terms = {(0,) * k: rat(1)}
@@ -102,13 +148,13 @@ def substitute_hyperplane(f):
 
     def repl_pow(e):
         if e not in powers:
-            powers[e] = repl_pow(e - 1) * repl
+            powers[e] = reference_mul(repl_pow(e - 1), repl)
         return powers[e]
 
     out = Polynomial.zero(k)
     for mono, c in f.terms.items():
         head = Polynomial.monomial(k, mono[:k], c)
-        out = out + head * repl_pow(mono[k])
+        out = out + reference_mul(head, repl_pow(mono[k]))
     return out
 
 
@@ -160,6 +206,24 @@ class TestRestriction:
         expected = substitute_hyperplane(f)
         assert restricted.nvars == expected.nvars == nvars - 1
         assert restricted.terms == expected.terms
+        assert all(type(c) is Rat for c in restricted.terms.values())
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    def test_high_powers_at_the_key_digit_edges(self, nvars):
+        # a lone D-th power puts D, the largest digit, in each place of a
+        # base-(D + 2) key in turn
+        D = 60
+        for axis in range(nvars):
+            mono = tuple(D if i == axis else 0 for i in range(nvars))
+            f = Polynomial.monomial(nvars, mono, rat(5, 3))
+            assert f.restrict_to_hyperplane().terms == substitute_hyperplane(f).terms
+        powers = sum(
+            (Polynomial.monomial(nvars, [D if i == j else 0 for i in range(nvars)], rat(j + 1, 2))
+             for j in range(nvars)),
+            Polynomial.constant(nvars, rat(-1, 7)),
+        )
+        restricted = powers.restrict_to_hyperplane()
+        assert restricted.terms == substitute_hyperplane(powers).terms
         assert all(type(c) is Rat for c in restricted.terms.values())
 
     @settings(max_examples=300, deadline=None)

@@ -8,7 +8,7 @@ from invsp.construct import basic_poly_closed, coefficient_c
 from invsp.gapsearch import GAMMA7_CATALOG, catalog_h, combine_witness, frobenius_closure
 from invsp.groups import GroupSpec, enumerate_invariant_monomials
 from invsp.polycore import DimensionMismatchError, Polynomial, is_one_on_hyperplane
-from invsp.rat import rat
+from invsp.rat import Rat, rat
 from invsp.transform import (
     degree_bound,
     quotient_H,
@@ -17,6 +17,7 @@ from invsp.transform import (
 )
 
 from conftest import polynomials, rationals
+from reference_kernels import reference_quotient
 
 G7 = GroupSpec.gamma7()
 F7 = basic_poly_closed(G7)
@@ -114,7 +115,7 @@ class TestQuotient:
         assert quotient_H(G7, F7**3) == expected
 
     def test_nonmember_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"first stray term \(1, 0, 0\)"):
             quotient_H(G7, F7 + Polynomial.variable(3, 0))
 
     @settings(max_examples=200, deadline=None)
@@ -124,6 +125,65 @@ class TestQuotient:
         H = data.draw(invariant_polys(g))
         F = basic_poly_closed(g)
         assert quotient_H(g, tensor_step(F, H)) == H
+
+
+ROUNDTRIP_GROUPS = [G7, GroupSpec.weighted(7, 2), GroupSpec.weighted(11, 2), GroupSpec.scalar(3, 2)]
+
+
+def division_outcome(divide):
+    """("ok", quotient terms) or ("stray", the ValueError's message)."""
+    try:
+        return "ok", divide().terms
+    except ValueError as exc:
+        return "stray", str(exc)
+
+
+class TestQuotientKernel:
+    """The heap division against the leading-term rescanning division."""
+
+    @pytest.mark.parametrize("g", ROUNDTRIP_GROUPS, ids=str)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_members_match_reference(self, g, data):
+        F = basic_poly_closed(g)
+        H = data.draw(invariant_polys(g, max_degree=2 * g.order, max_terms=6))
+        G = tensor_step(F, H)
+        got = quotient_H(g, G)
+        assert got.terms == reference_quotient(F, G).terms == H.terms
+        assert all(type(c) is Rat for c in got.terms.values())
+
+    @pytest.mark.parametrize("g", ROUNDTRIP_GROUPS, ids=str)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_nonmembers_name_the_same_stray_term(self, g, data):
+        F = basic_poly_closed(g)
+        H = data.draw(invariant_polys(g, max_degree=2 * g.order, max_terms=4))
+        nonzero = rationals().filter(lambda c: c != 0)
+        stray = data.draw(
+            polynomials(g.nvars, max_terms=3, max_exp=g.order + 2, coeffs=nonzero, allow_zero=False)
+        )
+        G = tensor_step(F, H) + stray
+        got = division_outcome(lambda: quotient_H(g, G))
+        assert got == division_outcome(lambda: reference_quotient(F, G))
+        if stray.degree() < F.degree():  # then it is no multiple of F - 1
+            assert got[0] == "stray"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_divisor_lead_coefficient_other_than_one(self, data):
+        # every basic polynomial leads with coefficient 1; with a stand-in F
+        # that leads with 3/2, a remainder term above the first stray term
+        # makes the integer division rescale to stay exact
+        F = Polynomial(2, {(3, 0): rat(3, 2), (1, 1): rat(-2, 5), (0, 2): 1})
+        H = data.draw(polynomials(2, max_terms=3, max_exp=3))
+        P = data.draw(polynomials(2, max_terms=3, max_exp=5))
+        G = tensor_step(F, H) + P
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("invsp.transform.basic_poly_closed", lambda g: F)
+            got = division_outcome(lambda: quotient_H(GroupSpec.scalar(3, 2), G))
+        assert got == division_outcome(lambda: reference_quotient(F, G))
+        if P.is_zero():
+            assert got == ("ok", H.terms)
 
 
 class TestPreservation:

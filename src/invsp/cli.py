@@ -12,13 +12,12 @@ Subcommands:
 
 Every subcommand takes ``--format``.  The three that sweep (``gaps``,
 ``family l0range`` and ``verify-paper``) also take ``--budget`` (the node
-bound on each sweep, default :data:`invsp.sweep.DEFAULT_BUDGET`) and
-``--jobs`` (worker processes).
+bound on each sweep, default :data:`invsp.sweep.DEFAULT_BUDGET`).  Every
+sweep runs in this one process.
 
 Exit codes: 0 success / verified; 1 verification mismatch; 2 usage or
 input error; 3 budget exhausted (search inconclusive).  Output is
-deterministic for fixed inputs and budgets; ``--jobs`` only changes wall
-time, never report content.
+deterministic for fixed inputs and budgets.
 """
 
 from __future__ import annotations
@@ -178,7 +177,6 @@ def _run_l0range(fam: AffineFamily, args) -> int:
         orthant=args.orthant,
         sought=_parse_targets(args.targets) if args.targets else None,
         budget=args.budget,
-        jobs=args.jobs,
     )
     _emit(
         report.to_json_dict(),
@@ -212,6 +210,8 @@ def cmd_gaps(args) -> int:
     g = _group(args.group)
     sign_mode = "nonneg" if args.nonneg_h else "signed"
     if args.targets:
+        if args.h_degree_exact is not None or args.value_cap is not None:
+            raise UsageError("--targets cannot be combined with --h-degree-exact or --value-cap")
         targets = _parse_targets(args.targets)
         report = gapsearch.search_targets(
             g,
@@ -219,7 +219,6 @@ def cmd_gaps(args) -> int:
             args.max_degree,
             sign_mode=sign_mode,
             budget=args.budget,
-            jobs=args.jobs,
         )
         _emit(
             report.to_json_dict(),
@@ -245,7 +244,6 @@ def cmd_gaps(args) -> int:
         targets=None if value_cap is None else range(value_cap + 1),
         h_degree_exact=args.h_degree_exact,
         budget=args.budget,
-        jobs=args.jobs,
     )
     _emit(
         report.to_json_dict(),
@@ -286,7 +284,7 @@ def cmd_closure(args) -> int:
 # -- the verification ledger -------------------------------------------------------
 
 
-def _ledger_checks(budget: int, jobs: int, closure_bound: Optional[int]):
+def _ledger_checks(budget: int, closure_bound: Optional[int]):
     checks = []
 
     def add(name: str, ok: bool, detail: str = ""):
@@ -363,8 +361,8 @@ def _ledger_checks(budget: int, jobs: int, closure_bound: Optional[int]):
 
     # sparsity of the two-variable quadratic-invariant affine map
     fam = build_coefficient_family(GroupSpec.scalar(2, 2), 2, "signed")
-    free = run_l0_sweep(fam, orthant=False, budget=budget, jobs=jobs)
-    orthant = run_l0_sweep(fam, orthant=True, budget=budget, jobs=jobs)
+    free = run_l0_sweep(fam, orthant=False, budget=budget)
+    orthant = run_l0_sweep(fam, orthant=True, budget=budget)
     add(
         "sparse-map-unconstrained",
         free.exhaustive
@@ -382,29 +380,23 @@ def _ledger_checks(budget: int, jobs: int, closure_bound: Optional[int]):
 
     # gap theorems
     for r in (1, 2, 3):
-        rep = gapsearch.verify_gap_theorem(
-            GroupSpec.weighted(2 * r + 1, 2), budget=budget, jobs=jobs
-        )
+        rep = gapsearch.verify_gap_theorem(GroupSpec.weighted(2 * r + 1, 2), budget=budget)
         add(
             f"gap-theorem-weighted-r{r}",
             rep.all_passed and rep.exhaustive,
             f"min {r+2}; gaps {rep.gaps}; frontier {rep.frontier}",
         )
     for m in (2, 3, 4):
-        rep = gapsearch.verify_gap_theorem(
-            GroupSpec.scalar(m, 2), budget=budget, jobs=jobs
-        )
+        rep = gapsearch.verify_gap_theorem(GroupSpec.scalar(m, 2), budget=budget)
         add(
             f"gap-theorem-dim2-m{m}",
             rep.all_passed and rep.exhaustive,
             f"gaps {rep.gaps}; frontier {rep.frontier}",
         )
-    rep = gapsearch.verify_gap_theorem(GroupSpec.scalar(3, 1), budget=budget, jobs=jobs)
+    rep = gapsearch.verify_gap_theorem(GroupSpec.scalar(3, 1), budget=budget)
     add("gap-theorem-dim1-m3", rep.all_passed, "every positive count achievable")
 
-    rep = gapsearch.verify_gap_theorem(
-        gamma, budget=budget, jobs=jobs, closure_bound=closure_bound
-    )
+    rep = gapsearch.verify_gap_theorem(gamma, budget=budget, closure_bound=closure_bound)
     for c in rep.checks:
         add(f"gamma7-{c.name}" if not c.name.startswith("gamma7") else c.name,
             c.passed, c.detail)
@@ -437,7 +429,7 @@ def _table_match(fam, reference):
 
 
 def cmd_verify_paper(args) -> int:
-    checks = _ledger_checks(args.budget, args.jobs, args.closure_bound)
+    checks = _ledger_checks(args.budget, args.closure_bound)
     passed = sum(1 for c in checks if c.passed)
     data = {
         "checks": [asdict(c) for c in checks],
@@ -475,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     def sweeping(p, default_format="json"):
         formatted(p, default_format)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="node bound per sweep")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
 
     p = sub.add_parser("basic-poly", help="construct the basic polynomial")
     p.add_argument("--group", required=True)

@@ -242,6 +242,12 @@ class CheckResult:
     detail: str = ""
 
 
+def _witness_check(g: GroupSpec, value: int, G: Polynomial):
+    """(ok, validation report): ok when G is special with exactly ``value`` terms."""
+    report = validate_special(g, G)
+    return report.is_special and G.term_count() == value, report
+
+
 def verify_fixtures(g: GroupSpec) -> List[CheckResult]:
     """Re-derive every cataloged example for the group and check its N."""
     results: List[CheckResult] = []
@@ -250,8 +256,7 @@ def verify_fixtures(g: GroupSpec) -> List[CheckResult]:
     def run_item(name: str, h_terms, expected_n: int, expected_g: Optional[dict] = None):
         H = catalog_h(h_terms, g.nvars)
         G = tensor_step(F, H)
-        report = validate_special(g, G)
-        ok = report.is_special and G.term_count() == expected_n
+        ok, report = _witness_check(g, expected_n, G)
         detail = ""
         if expected_g is not None:
             if G != Polynomial(g.nvars, expected_g):
@@ -337,7 +342,6 @@ def achievable_set(
     h_degree_exact: Optional[int] = None,
     skip_all_zero: bool = False,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> AchievabilityReport:
     """Sweep all special polynomials of degree at most ``degree_bound_value``.
 
@@ -357,7 +361,6 @@ def achievable_set(
         h_degree_exact=h_degree_exact,
         skip_all_zero=skip_all_zero,
         budget=budget,
-        jobs=jobs,
     )
     achievable: Dict[int, Polynomial] = {}
     for value, point in report.achievable.items():
@@ -459,8 +462,8 @@ class GapTheoremReport:
 
 
 def _validated(g: GroupSpec, value: int, G: Polynomial) -> Polynomial:
-    rep = validate_special(g, G)
-    if not rep.is_special or G.term_count() != value:
+    ok, rep = _witness_check(g, value, G)
+    if not ok:
         raise AssertionError(
             f"witness for N={value} failed validation (N={G.term_count()}, {rep})"
         )
@@ -471,11 +474,7 @@ def _closure_with_checks(
     g: GroupSpec, base: Dict[int, Polynomial], bound: int, checks: List[CheckResult]
 ) -> Dict[int, Polynomial]:
     closed = frobenius_closure(base, bound)
-    bad = []
-    for value, G in closed.items():
-        rep = validate_special(g, G)
-        if not rep.is_special or G.term_count() != value:
-            bad.append(value)
+    bad = [value for value, G in closed.items() if not _witness_check(g, value, G)[0]]
     checks.append(
         CheckResult(
             "closure-witnesses-validate",
@@ -494,7 +493,6 @@ def verify_gap_theorem(
     closure_bound: Optional[int] = None,
     n1_limit: int = 30,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> GapTheoremReport:
     """Certify the achievable set and gaps of the group at desk scale."""
     checks: List[CheckResult] = []
@@ -508,8 +506,7 @@ def verify_gap_theorem(
         for d in range(1, n1_limit + 1):
             terms = {(m * j,): rat(1, d) for j in range(1, d + 1)}
             p = Polynomial(1, terms)
-            rep = validate_special(g, p)
-            if not rep.is_special or p.term_count() != d:
+            if not _witness_check(g, d, p)[0]:
                 ok = False
                 break
             achievable[d] = p
@@ -523,13 +520,13 @@ def verify_gap_theorem(
         return GapTheoremReport(g, checks, achievable, [], [], 1, True)
 
     if g.family == WEIGHTED:
-        return _verify_weighted(g, F, nf, closure_bound, budget, jobs, checks)
+        return _verify_weighted(g, F, nf, closure_bound, budget, checks)
     if g.family == SCALAR and g.nvars == 2:
-        return _verify_scalar2(g, F, nf, closure_bound, budget, jobs, checks)
-    return _verify_gamma7(g, F, nf, closure_bound, budget, jobs, checks)
+        return _verify_scalar2(g, F, nf, closure_bound, budget, checks)
+    return _verify_gamma7(g, F, nf, closure_bound, budget, checks)
 
 
-def _verify_weighted(g, F, nf, closure_bound, budget, jobs, checks):
+def _verify_weighted(g, F, nf, closure_bound, budget, checks):
     p = g.order
     r = (p - 1) // 2
     if g.weights[1] != 2:
@@ -544,7 +541,6 @@ def _verify_weighted(g, F, nf, closure_bound, budget, jobs, checks):
         targets=range(1, 2 * r + 3),
         skip_all_zero=True,
         budget=budget,
-        jobs=jobs,
     )
     gap_values = [v for v in range(1, 2 * r + 3) if v != r + 2]
     checks.append(
@@ -594,7 +590,7 @@ def _verify_weighted(g, F, nf, closure_bound, budget, jobs, checks):
     )
 
 
-def _verify_scalar2(g, F, nf, closure_bound, budget, jobs, checks):
+def _verify_scalar2(g, F, nf, closure_bound, budget, checks):
     m = g.order
     bound = closure_bound if closure_bound is not None else 10 * (m + 1)
     # Any G with N <= 2m has degree <= 4m - 3, hence degree in {m, 2m, 3m}.
@@ -605,7 +601,6 @@ def _verify_scalar2(g, F, nf, closure_bound, budget, jobs, checks):
         targets=range(1, 2 * m + 1),
         skip_all_zero=True,
         budget=budget,
-        jobs=jobs,
     )
     checks.append(
         CheckResult(
@@ -637,7 +632,7 @@ def _verify_scalar2(g, F, nf, closure_bound, budget, jobs, checks):
     return GapTheoremReport(g, checks, closed, gap_values, [], frontier, sweep.exhaustive)
 
 
-def _verify_gamma7(g, F, nf, closure_bound, budget, jobs, checks):
+def _verify_gamma7(g, F, nf, closure_bound, budget, checks):
     bound = closure_bound if closure_bound is not None else 120
     exhaustive = True
 
@@ -652,7 +647,7 @@ def _verify_gamma7(g, F, nf, closure_bound, budget, jobs, checks):
     )
 
     # degree 10: exactly {17, 29, 30}
-    rep10 = achievable_set(g, 10, "signed", budget=budget, jobs=jobs)
+    rep10 = achievable_set(g, 10, "signed", budget=budget)
     ok10 = rep10.exhaustive and sorted(rep10.achievable) == [17, 29, 30]
     exhaustive &= rep10.exhaustive
     checks.append(
@@ -661,7 +656,7 @@ def _verify_gamma7(g, F, nf, closure_bound, budget, jobs, checks):
 
     # degree 11, nonzero H of top degree: nothing at or below 30
     rep11 = achievable_set(
-        g, 11, "signed", targets=range(1, 31), h_degree_exact=4, budget=budget, jobs=jobs
+        g, 11, "signed", targets=range(1, 31), h_degree_exact=4, budget=budget
     )
     exhaustive &= rep11.exhaustive
     checks.append(
@@ -674,7 +669,7 @@ def _verify_gamma7(g, F, nf, closure_bound, budget, jobs, checks):
 
     # degree 12: nothing at or below 32 for top-degree H
     rep12 = achievable_set(
-        g, 12, "signed", targets=range(1, 33), h_degree_exact=5, budget=budget, jobs=jobs
+        g, 12, "signed", targets=range(1, 33), h_degree_exact=5, budget=budget
     )
     exhaustive &= rep12.exhaustive
     checks.append(
@@ -687,7 +682,7 @@ def _verify_gamma7(g, F, nf, closure_bound, budget, jobs, checks):
 
     # degree <= 13: the decisive sweep
     sought13 = sorted(set(range(1, 29)) | {31, 35, 36})
-    rep13 = achievable_set(g, 13, "signed", targets=sought13, budget=budget, jobs=jobs)
+    rep13 = achievable_set(g, 13, "signed", targets=sought13, budget=budget)
     exhaustive &= rep13.exhaustive
     ok13 = rep13.exhaustive and sorted(rep13.achievable) == [17]
     checks.append(
@@ -769,7 +764,6 @@ def search_targets(
     *,
     sign_mode: str = "signed",
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> SearchReport:
     """Directed hunt for special polynomials with the given term counts.
 
@@ -786,7 +780,6 @@ def search_targets(
         sign_mode,
         targets=target_list,
         budget=budget,
-        jobs=jobs,
     )
     if g.nvars >= 2:
         needed = max(degree_bound(g.nvars, v) for v in target_list)

@@ -26,8 +26,7 @@ Structure of the search, mirroring a by-hand case analysis:
    use the rational forms.
 3. Regions are settled in walk order, each against the sought values no
    earlier region has witnessed, and branches whose attainable value
-   interval cannot contribute a still undecided value are pruned.  A
-   region explored ahead of its turn against another set is settled again.
+   interval cannot contribute a still undecided value are pruned.
 4. An order-3 variable rotation, when the family is symmetric under it,
    cuts the region lattice by up to a factor of three.
 
@@ -37,18 +36,14 @@ prefix costs all of its lattice nodes.  A cut region is one the region
 search would have left without a node, so a budget reaches exactly the
 regions it reached without the cuts.  Regions are settled in the lattice
 walk's order, and the sweep stops, marked non-exhaustive, where the budget
-runs out, or, exhaustive, once every sought value is witnessed.  Worker
-processes only explore regions ahead of that order, so reports are
-reproducible and independent of worker count.
+runs out, or, exhaustive, once every sought value is witnessed.  One
+process walks the lattice and settles each region as the walk reaches it,
+so a report depends only on the family, the sought values and the budget.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -291,10 +286,9 @@ def _propagate_box(boxes, forms, rounds: int = 3) -> bool:
 
 
 class _RegionOutcome:
-    __slots__ = ("sought", "found", "complete", "stats")
+    __slots__ = ("found", "complete", "stats")
 
-    def __init__(self, sought, found, complete, stats):
-        self.sought = sought  # the values the region was explored against
+    def __init__(self, found, complete, stats):
         self.found = found
         self.complete = complete
         self.stats = stats
@@ -326,7 +320,7 @@ def _explore_region(
             n_base += 1
         else:
             stats.regions_infeasible += 1
-            return _RegionOutcome(sought, {}, True, stats)
+            return _RegionOutcome({}, True, stats)
 
     # parameter boxes for the region
     boxes: List[Optional[tuple]] = [None] * len(comp.names)
@@ -337,7 +331,7 @@ def _explore_region(
         ok = _propagate_box(boxes, [(c, it) for _, c, it in reduced])
         if not ok:
             stats.regions_infeasible += 1
-            return _RegionOutcome(sought, {}, True, stats)
+            return _RegionOutcome({}, True, stats)
 
     def rational(slot):  # the slot's rational form over the support, for the LP
         return slot.const, tuple((p, w) for p, w in slot.items if p not in zero_positions)
@@ -349,7 +343,7 @@ def _explore_region(
         if comp.orthant:
             if fmax is not None and (fmax < 0 or (fmax == 0 and not max_att)):
                 stats.regions_infeasible += 1
-                return _RegionOutcome(sought, {}, True, stats)
+                return _RegionOutcome({}, True, stats)
             if fmax is not None and fmax == 0:
                 forced_zero.append(rational(slot))
                 continue
@@ -367,7 +361,7 @@ def _explore_region(
 
     # the value window: no count this region can reach is still sought
     if not any(n_base <= v <= n_base + len(ambiguous) for v in remaining):
-        return _RegionOutcome(sought, {}, True, stats)
+        return _RegionOutcome({}, True, stats)
 
     n_vars = len(support) + 1  # support parameters plus slack t
     pos_of = {p: k for k, p in enumerate(support)}
@@ -484,13 +478,13 @@ def _explore_region(
             start = solve([], [], ambiguous)
             if start is None:
                 stats.regions_infeasible += 1
-                return _RegionOutcome(sought, {}, True, stats)
+                return _RegionOutcome({}, True, stats)
             dfs([], [], ambiguous, start)
         else:
             dfs([], [], ambiguous, None)
     except _BudgetExhausted:
         complete = False
-    return _RegionOutcome(sought, found, complete, stats)
+    return _RegionOutcome(found, complete, stats)
 
 
 # -- the sign-region walk and the public sweep -----------------------------------
@@ -528,7 +522,7 @@ def _region_ok(comp: _Compiled, sigma, h_degree_exact, skip_all_zero) -> bool:
     return True
 
 
-_BOX, _WINDOW = 0, 1  # the prefix cut rules, as indices into the cut counts
+_BOX, _WINDOW = "pruned_box", "pruned_window"  # the prefix cut rules, as stats counters
 
 
 class _Prefix:
@@ -611,18 +605,20 @@ class _Prefix:
         return _WINDOW if self.n_pos > top else None
 
 
-def _walk(comp: _Compiled, perm, h_degree_exact, skip_all_zero, top: int, limit: int):
+def _walk(
+    comp: _Compiled, perm, h_degree_exact, skip_all_zero, top: int, limit: int, stats: SweepStats
+):
     """Depth-first walk of the sign lattice, in ``itertools.product`` order.
 
-    Yields ``(sigma, ticks, cuts)`` for every region that passes
+    Yields ``(sigma, ticks)`` for every region that passes
     :func:`_region_ok` and, when ``perm`` is given, is canonical under it.
     ``ticks`` counts the lattice nodes visited so far: the root, every
-    prefix, and sigma's own node, with a cut subtree charged all its nodes;
-    ``cuts`` counts the subtrees cut so far by each rule (box, window).  On
-    the orthant every prefix short of a full region is first settled by
-    :class:`_Prefix` against ``top``, the largest sought value.  A final
-    ``(None, ticks, cuts)`` closes the walk, which stops early once
-    ``ticks`` exceeds ``limit``.
+    prefix, and sigma's own node, with a cut subtree charged all its nodes.
+    On the orthant every prefix short of a full region is first settled by
+    :class:`_Prefix` against ``top``, the largest sought value, and each
+    subtree it cuts is counted in ``stats`` under its rule.  A final
+    ``(None, ticks)`` closes the walk, which stops early once ``ticks``
+    exceeds ``limit``.
     """
     choices = comp.choices
     n = len(choices)
@@ -633,7 +629,6 @@ def _walk(comp: _Compiled, perm, h_degree_exact, skip_all_zero, top: int, limit:
     for k, slot in enumerate(comp.slots):
         for p, _ in slot.iitems:
             occurs[p].append(k)
-    cuts = [0, 0]
     prefixes: List[Optional[_Prefix]] = [None] * n
     sigma = [0] * n
     nxt = [0] * n  # the next sign to try at each depth
@@ -642,7 +637,7 @@ def _walk(comp: _Compiled, perm, h_degree_exact, skip_all_zero, top: int, limit:
     if comp.orthant and n:
         prefixes[0], rule = _Prefix.root(comp, top)
         if rule is not None:
-            cuts[rule] += 1
+            setattr(stats, rule, getattr(stats, rule) + 1)
             ticks += below[0]
             depth = -1
     while depth >= 0 and ticks <= limit:
@@ -651,7 +646,7 @@ def _walk(comp: _Compiled, perm, h_degree_exact, skip_all_zero, top: int, limit:
             if _region_ok(comp, tup, h_degree_exact, skip_all_zero) and (
                 perm is None or _canonical(tup, perm)
             ):
-                yield tup, ticks, tuple(cuts)
+                yield tup, ticks
             depth -= 1
             continue
         c = nxt[depth]
@@ -666,49 +661,12 @@ def _walk(comp: _Compiled, perm, h_degree_exact, skip_all_zero, top: int, limit:
         if parent is not None and depth + 1 < n:
             prefix, rule = parent.child(depth, s, occurs[depth], top)
             if rule is not None:
-                cuts[rule] += 1
+                setattr(stats, rule, getattr(stats, rule) + 1)
                 ticks += below[depth + 1]
                 continue
             prefixes[depth + 1] = prefix
         depth += 1
-    yield None, ticks, tuple(cuts)
-
-
-_CHUNK = 64  # regions per worker task; changes wall time only, never a report
-
-
-def _explore_chunk(comp: _Compiled, sought: FrozenSet[int], tasks):
-    return [_explore_region(comp, sigma, sought, cap) for sigma, cap in tasks]
-
-
-def _explored_ahead(walk, comp, undecided, budget: int, jobs: int, stats: SweepStats):
-    """The walk's items, each region explored ahead of time by a worker.
-
-    Yields ``(sigma, ticks, cuts, outcome)``.  A chunk is explored against
-    ``undecided()``, the values still undecided when it is sent, and a
-    region's worker cap is the budget left then, so it is never below the
-    cap the region gets in walk order.  The caller re-settles any region
-    whose set has shrunk since, or that does not fit its exact cap.
-    """
-    pool = ProcessPoolExecutor(jobs)
-    pending = deque()
-    try:
-        while True:
-            while len(pending) < 2 * jobs:
-                chunk = list(itertools.islice(walk, _CHUNK))
-                if not chunk:
-                    break
-                tasks = [(s, budget - t - stats.nodes) for s, t, _ in chunk if s is not None]
-                future = pool.submit(_explore_chunk, comp, undecided(), tasks)
-                pending.append((chunk, future))
-            if not pending:
-                return
-            chunk, future = pending.popleft()
-            outcomes = iter(future.result())
-            for sigma, ticks, cuts in chunk:
-                yield sigma, ticks, cuts, None if sigma is None else next(outcomes)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    yield None, ticks
 
 
 def run_l0_sweep(
@@ -719,14 +677,14 @@ def run_l0_sweep(
     h_degree_exact: Optional[int] = None,
     skip_all_zero: bool = False,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> L0Report:
     """Determine which sought sparsity values the family attains.
 
     ``sought`` defaults to every value from 0 to the number of slots.  The
     report's ``certified_absent`` lists sought values proven unattainable;
     it is only populated when the sweep ran to completion (``exhaustive``).
-    The sweep stops as soon as every sought value is witnessed.
+    Regions are settled one at a time in walk order, and the sweep stops as
+    soon as every sought value is witnessed.
     """
     if orthant is None:
         orthant = fam.orthant_default
@@ -741,40 +699,28 @@ def run_l0_sweep(
     found: Dict[int, Dict[str, Rat]] = {}
     remaining = sought_set  # the sought values no region has witnessed yet
     exhaustive = True
-    top = max(sought_set, default=-1)  # not remaining: the walk is the same for any --jobs
-    walk = _walk(comp, perm, h_degree_exact, skip_all_zero, top, budget)
-    if jobs > 1:
-        items = _explored_ahead(walk, comp, lambda: remaining, budget, jobs, stats)
-    else:
-        items = ((sigma, ticks, cuts, None) for sigma, ticks, cuts in walk)
-    with closing(items):
-        for sigma, ticks, cuts, ahead in items:
-            stats.pruned_box, stats.pruned_window = cuts
-            cap = budget - ticks - stats.nodes  # lattice and search nodes share it
-            if cap < 0:
-                exhaustive = False
-                break
-            if sigma is None:
-                break
-            stats.regions_total += 1
-            if (
-                ahead is not None
-                and ahead.sought == remaining
-                and ahead.complete
-                and ahead.stats.nodes <= cap
-            ):
-                outcome = ahead  # what exploring here with the exact cap gives
-            else:
-                outcome = _explore_region(comp, sigma, remaining, cap)
-            stats.merge(outcome.stats)
-            if outcome.found:  # only values in remaining: each one is new
-                found.update(outcome.found)
-                remaining = sought_set - found.keys()
-                if not remaining:
-                    break  # every sought value is witnessed
-            if not outcome.complete:
-                exhaustive = False
-                break
+    # The prefix window cuts against the static max(sought), not against
+    # remaining: that keeps the walk, and with it each region's budget and the
+    # counters of the d13 fixture, as they are.
+    top = max(sought_set, default=-1)
+    for sigma, ticks in _walk(comp, perm, h_degree_exact, skip_all_zero, top, budget, stats):
+        cap = budget - ticks - stats.nodes  # lattice and search nodes share it
+        if cap < 0:
+            exhaustive = False
+            break
+        if sigma is None:
+            break
+        stats.regions_total += 1
+        outcome = _explore_region(comp, sigma, remaining, cap)
+        stats.merge(outcome.stats)
+        if outcome.found:  # only values in remaining: each one is new
+            found.update(outcome.found)
+            remaining = sought_set - found.keys()
+            if not remaining:
+                break  # every sought value is witnessed
+        if not outcome.complete:
+            exhaustive = False
+            break
 
     achievable = {v: found[v] for v in sorted(found)}
     certified = sorted(sought_set - set(found)) if exhaustive else []

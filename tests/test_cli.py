@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import invsp
 from invsp.cli import main
 from invsp.polycore import Polynomial
 
@@ -195,14 +199,19 @@ class TestGaps:
         _, second, _ = run(capsys, *args)
         assert first == second
 
-    def test_jobs_flag_does_not_change_output(self, capsys):
-        base = (
-            "gaps", "--group", "gamma7", "--max-degree", "11",
-            "--targets", "18-30", "--format", "json",
+    @pytest.mark.parametrize(
+        "flag",
+        [["--h-degree-exact", "4"], ["--value-cap", "30"]],
+        ids=["h-degree-exact", "value-cap"],
+    )
+    def test_targets_reject_flags_they_would_drop(self, capsys, flag):
+        """A targeted search applies neither flag, so it must not accept them."""
+        code, out, err = run(
+            capsys,
+            "gaps", "--group", "gamma7", "--max-degree", "11", "--targets", "1-30", *flag,
         )
-        _, seq, _ = run(capsys, *base, "--jobs", "1")
-        _, par, _ = run(capsys, *base, "--jobs", "2")
-        assert seq == par
+        assert code == 2 and out == ""
+        assert "--h-degree-exact" in err and "--value-cap" in err
 
 
 class TestClosureCommand:
@@ -244,9 +253,25 @@ def test_verify_paper_budget_reaches_every_sweep(capsys):
         ["family", "build", "--group", "gamma7", "--h-degree", "2"],
         ["family", "instantiate", "--family", "fam.json", "--point", "{}"],
         ["closure", "--base", "base.json", "--bound", "10"],
+        ["gaps", "--group", "gamma7", "--max-degree", "9"],
+        ["family", "l0range", "--family", "fam.json"],
+        ["verify-paper"],
     ],
     ids=lambda argv: " ".join(argv[:2]) if argv[0] == "family" else argv[0],
 )
-def test_jobs_only_on_sweeping_subcommands(capsys, argv):
+def test_no_subcommand_takes_jobs(capsys, argv):
     code, _, err = run(capsys, *argv, "--jobs", "2")
     assert code == 2 and "unrecognized arguments: --jobs 2" in err
+
+
+def test_import_loads_no_process_pool():
+    """Every sweep runs in one process, so importing invsp starts no pool machinery."""
+    src = os.path.dirname(os.path.dirname(invsp.__file__))
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import invsp; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -61,8 +61,8 @@ def test_cut_regions_need_no_search(case):
     fam, comp, sought_set, h_exact = sweep_case(case)
     perm = sweep._orbit_perm(fam, comp)
     regions = lattice_regions(comp, perm, h_exact)
-    walk = sweep._walk(comp, perm, h_exact, False, max(sought_set), 10**30)
-    kept = [sigma for sigma, _, _ in walk if sigma is not None]
+    walk = sweep._walk(comp, perm, h_exact, False, max(sought_set), 10**30, sweep.SweepStats())
+    kept = [sigma for sigma, _ in walk if sigma is not None]
     in_order = iter(regions)
     assert all(sigma in in_order for sigma in kept)  # a subsequence, same order
     kept = set(kept)

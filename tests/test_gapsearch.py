@@ -294,11 +294,15 @@ class TestSignRegionWalk:
         assert rep.to_json_dict() == full.to_json_dict()
         assert not run_l0_sweep(fam, sought=sought, budget=need - 1).exhaustive
 
-    def test_sweep_stops_once_every_value_is_witnessed(self):
-        rep = run_l0_sweep(self.degree17(), sought=[17])
-        assert sorted(rep.achievable) == [17]
-        assert rep.exhaustive and rep.certified_absent == []
-        assert rep.stats.regions_total == 1
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_sweep_stops_once_every_value_is_witnessed(self, runs):
+        """A repeated sweep of one family in one process stops just as soon."""
+        fam = self.degree17()
+        for _ in range(runs):
+            rep = run_l0_sweep(fam, sought=[17])
+            assert sorted(rep.achievable) == [17]
+            assert rep.exhaustive and rep.certified_absent == []
+            assert rep.stats.regions_total == 1
 
     @pytest.mark.parametrize("cut", [10, "half", "full"])
     @pytest.mark.parametrize("orthant", [True, False])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .rat import Rat, RatLike, rat, rat_str
@@ -215,17 +215,23 @@ class Polynomial:
     def __mul__(self, other):
         """Exact product with a polynomial, or scaling by a rational.
 
-        Each operand is scaled once to Python ints by the lcm of its
-        denominators and each monomial keyed by one int, its exponents as
-        digits in base ``deg(self) + deg(other) + 2``, so a product of
-        monomials is a sum of keys.  The int products are accumulated per
-        key, and each output term is one rational ``v / (la * lb)``.
+        A one-term operand shifts the other's exponents and scales its
+        coefficients.  Otherwise each operand is scaled once to Python ints
+        by the lcm of its denominators and each monomial keyed by one int,
+        its exponents as digits in base ``deg(self) + deg(other) + 2``, so a
+        product of monomials is a sum of keys.  The int products are
+        accumulated per key, and each output term is one rational
+        ``v / (la * lb)``.
         """
         if isinstance(other, Polynomial):
             self._check_same_dim(other)
             n = self.nvars
             if not self._terms or not other._terms:
                 return Polynomial.zero(n)
+            if len(other._terms) == 1:
+                return self._times_term(other)
+            if len(self._terms) == 1:
+                return other._times_term(self)
             width = self.degree() + other.degree() + 2
             places = radix_place_values(n, width)
             a, la = integer_terms(self._terms)
@@ -250,6 +256,13 @@ class Polynomial:
         return self.scale(c)
 
     __rmul__ = __mul__
+
+    def _times_term(self, term: "Polynomial") -> "Polynomial":
+        """The product with a one-term polynomial, term by term."""
+        ((shift, c),) = term._terms.items()
+        return Polynomial._raw(
+            self.nvars, {tuple(map(add, mono, shift)): v * c for mono, v in self._terms.items()}
+        )
 
     def scale(self, factor: RatLike) -> "Polynomial":
         c = rat(factor)

@@ -27,18 +27,25 @@ Structure of the search, mirroring a by-hand case analysis:
 3. Regions are settled in walk order, each against the sought values no
    earlier region has witnessed, and branches whose attainable value
    interval cannot contribute a still undecided value are pruned.
-4. An order-3 variable rotation, when the family is symmetric under it,
-   cuts the region lattice by up to a factor of three.
+4. An order-3 variable rotation, when the family and its bounds are
+   symmetric under it, keeps only the lexicographically least region of
+   each orbit, cutting the region lattice by up to a factor of three.  The
+   test runs at every prefix whose positions the rotation maps onto
+   themselves (the degree-class boundaries), before the prefix is settled,
+   and cuts the whole subtree when a rotated image of the prefix is
+   smaller: no region below it is its orbit's representative.
 
 One budget bounds the whole sweep: every node of the sign lattice and
 every search node inside a region costs one unit, and a subtree cut at a
-prefix costs all of its lattice nodes.  A cut region is one the region
-search would have left without a node, so a budget reaches exactly the
-regions it reached without the cuts.  Regions are settled in the lattice
-walk's order, and the sweep stops, marked non-exhaustive, where the budget
-runs out, or, exhaustive, once every sought value is witnessed.  One
-process walks the lattice and settles each region as the walk reaches it,
-so a report depends only on the family, the sought values and the budget.
+prefix costs all of its lattice nodes.  A region cut by the boxes or the
+value window is one the region search would have left without a node, and
+one cut by the rotation is one the walk would never have yielded, so a
+budget reaches exactly the regions it reached without the cuts.  Regions
+are settled in the lattice walk's order, and the sweep stops, marked
+non-exhaustive, where the budget runs out, or, exhaustive, once every
+sought value is witnessed.  One process walks the lattice and settles each
+region as the walk reaches it, so a report depends only on the family, the
+sought values and the budget.
 """
 
 from __future__ import annotations
@@ -53,9 +60,7 @@ from .rat import Rat, rat
 
 DEFAULT_BUDGET = 200_000
 
-_POS_CHOICES = (0, 1)
-_FULL_CHOICES = (0, 1, -1)
-_CANON_RANK = {0: 0, 1: 1, -1: 2}
+_CANON_RANK = {0: 0, 1: 1, -1: 2}  # the order of signs in the orbit test
 
 
 @dataclass
@@ -69,6 +74,7 @@ class SweepStats:
     pivots: int = 0  # simplex pivots summed over every LP call
     pruned_box: int = 0  # lattice subtrees cut at a prefix by an empty box
     pruned_window: int = 0  # ... by more positive slots than any sought value
+    pruned_orbit: int = 0  # ... or a region, by the rotation: none below is canonical
 
     def merge(self, other: "SweepStats") -> None:
         for f in fields(self):
@@ -154,14 +160,20 @@ class _Compiled:
             )
             for s in fam.slots
         ]
-        self.choices = []
-        for p in fam.params:
-            if p.lo is None:
-                self.choices.append(_FULL_CHOICES)
-            elif p.lo == 0:
-                self.choices.append(_POS_CHOICES)
-            else:
-                self.choices.append((1,))
+        self.choices = [_sign_choices(p.lo, p.hi) for p in fam.params]
+
+
+def _sign_choices(lo: Optional[Rat], hi: Optional[Rat]) -> Tuple[int, ...]:
+    """The signs, in the order (0, 1, -1), of the values the bounds [lo, hi] hold."""
+    return tuple(
+        s
+        for s, held in (
+            (0, (lo is None or lo <= 0) and (hi is None or hi >= 0)),
+            (1, hi is None or hi > 0),
+            (-1, lo is None or lo < 0),
+        )
+        if held
+    )
 
 
 # -- interval arithmetic on integer forms (None = unbounded) ---------------------
@@ -490,25 +502,63 @@ def _explore_region(
 # -- the sign-region walk and the public sweep -----------------------------------
 
 
-def _canonical(sigma: Tuple[int, ...], perm: Sequence[int]) -> bool:
-    """True when sigma is the lexicographic representative of its orbit."""
-    code = tuple(_CANON_RANK[s] for s in sigma)
-    image = sigma
-    for _ in range(2):
-        image = tuple(image[perm[i]] for i in range(len(perm)))
-        if tuple(_CANON_RANK[s] for s in image) < code:
-            return False
-    return True
-
-
 def _orbit_perm(fam: AffineFamily, comp: _Compiled) -> Optional[Sequence[int]]:
-    """The rotation the orbit cut uses, or None when it would be unsound."""
+    """The rotation the orbit cut uses, or None when it would be unsound.
+
+    The cut is sound only when the rotation maps every parameter's bounds
+    and sign choices onto its image's.
+    """
     perm = fam.symmetry[0] if fam.symmetry else None
     if perm is not None and any(
-        comp.choices[i] != comp.choices[perm[i]] for i in range(len(perm))
+        comp.choices[perm[i]] != comp.choices[i]
+        or comp.lo[perm[i]] != comp.lo[i]
+        or comp.hi[perm[i]] != comp.hi[i]
+        for i in range(len(perm))
     ):
         return None  # asymmetric bounds
     return perm
+
+
+def _orbit_steps(perm, n: int) -> List[Optional[int]]:
+    """For each prefix length j closed under the rotation, the closed one before.
+
+    A length j is closed when the rotation maps positions ``0 .. j-1`` onto
+    themselves; in stored order these are the degree-class boundaries.
+    Lengths that are not closed, and every length when ``perm`` is None,
+    map to None.
+    """
+    since: List[Optional[int]] = [None] * (n + 1)
+    if perm is not None:
+        last, reach = 0, -1
+        for j in range(1, n + 1):
+            reach = max(reach, perm[j - 1])
+            if reach < j:
+                since[j], last = last, j
+    return since
+
+
+def _orbit_tied(sigma, rotations, start: int, end: int, tied):
+    """The orbit test of a sign prefix, extended from closed length start to end.
+
+    ``tied`` holds, for each non-trivial rotation, whether its image of
+    sigma equals sigma on the positions before ``start``; once an image
+    compares larger, that rotation cannot make sigma non-canonical.  Only
+    positions ``start .. end-1`` are compared.  Returns the flags at
+    ``end``, or None when an image is lexicographically smaller there, so
+    that no region below the prefix is canonical.
+    """
+    out = []
+    for rot, eq in zip(rotations, tied):
+        if eq:
+            for i in range(start, end):
+                a, b = _CANON_RANK[sigma[i]], _CANON_RANK[sigma[rot[i]]]
+                if a != b:
+                    if a > b:
+                        return None
+                    eq = False
+                    break
+        out.append(eq)
+    return out
 
 
 def _region_ok(comp: _Compiled, sigma, h_degree_exact, skip_all_zero) -> bool:
@@ -611,20 +661,30 @@ def _walk(
     """Depth-first walk of the sign lattice, in ``itertools.product`` order.
 
     Yields ``(sigma, ticks)`` for every region that passes
-    :func:`_region_ok` and, when ``perm`` is given, is canonical under it.
-    ``ticks`` counts the lattice nodes visited so far: the root, every
-    prefix, and sigma's own node, with a cut subtree charged all its nodes.
-    On the orthant every prefix short of a full region is first settled by
-    :class:`_Prefix` against ``top``, the largest sought value, and each
-    subtree it cuts is counted in ``stats`` under its rule.  A final
-    ``(None, ticks)`` closes the walk, which stops early once ``ticks``
-    exceeds ``limit``.
+    :func:`_region_ok` and, when ``perm`` is given, is canonical under it:
+    lexicographically no larger, with signs ranked 0 < 1 < -1, than its
+    images under the rotation and its square.  ``ticks`` counts the lattice
+    nodes visited so far: the root, every prefix, and sigma's own node, with
+    a cut subtree charged all its nodes.
+
+    At every prefix length the rotation maps onto itself, the full length
+    included, the prefix is tested first against its images (compared
+    incrementally by :func:`_orbit_tied`), and when an image is smaller the
+    subtree, whose every region is then non-canonical, is cut and counted
+    in ``stats.pruned_orbit``.  On the orthant every prefix that stands and
+    is short of a full region is then settled by :class:`_Prefix` against
+    ``top``, the largest sought value, and each subtree it cuts is counted
+    in ``stats`` under its rule.  A final ``(None, ticks)`` closes the walk,
+    which stops early once ``ticks`` exceeds ``limit``.
     """
     choices = comp.choices
     n = len(choices)
     below = [0] * (n + 1)  # the lattice nodes under a prefix of each length
     for j in reversed(range(n)):
         below[j] = len(choices[j]) * (1 + below[j + 1])
+    since = _orbit_steps(perm, n)
+    rotations = () if perm is None else (perm, [perm[p] for p in perm])
+    tied = [(True, True)] * (n + 1)  # the orbit flags at each closed length
     occurs: List[List[int]] = [[] for _ in range(n)]
     for k, slot in enumerate(comp.slots):
         for p, _ in slot.iitems:
@@ -643,9 +703,7 @@ def _walk(
     while depth >= 0 and ticks <= limit:
         if depth == n:
             tup = tuple(sigma)
-            if _region_ok(comp, tup, h_degree_exact, skip_all_zero) and (
-                perm is None or _canonical(tup, perm)
-            ):
+            if _region_ok(comp, tup, h_degree_exact, skip_all_zero):
                 yield tup, ticks
             depth -= 1
             continue
@@ -657,6 +715,14 @@ def _walk(
         nxt[depth] = c + 1
         s = sigma[depth] = choices[depth][c]
         ticks += 1
+        start = since[depth + 1]
+        if start is not None:
+            flags = _orbit_tied(sigma, rotations, start, depth + 1, tied[start])
+            if flags is None:
+                stats.pruned_orbit += 1
+                ticks += below[depth + 1]
+                continue
+            tied[depth + 1] = flags
         parent = prefixes[depth]
         if parent is not None and depth + 1 < n:
             prefix, rule = parent.child(depth, s, occurs[depth], top)

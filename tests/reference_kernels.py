@@ -1,14 +1,18 @@
-"""Reference polynomial kernels the integer kernels in invsp are checked against.
+"""Reference kernels the fast paths in invsp are checked against.
 
-These are the straightforward rational versions: a product that multiplies
-every pair of terms in the backend's rationals, and a division of G - F by
-F - 1 that rescans the whole remainder for its leading term at each step.
-They share no code with ``Polynomial.__mul__`` or ``transform.quotient_H``.
+These are the straightforward versions: a product that multiplies every
+pair of terms in the backend's rationals, a division of G - F by F - 1 that
+rescans the whole remainder for its leading term at each step, and an orbit
+test that builds a full region's rotated images.  They share no code with
+``Polynomial.__mul__``, ``transform.quotient_H`` or the sweep's incremental
+orbit cut.
 """
 
 from __future__ import annotations
 
 from invsp.polycore import Polynomial
+
+_SIGN_RANK = {0: 0, 1: 1, -1: 2}
 
 
 def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -55,3 +59,18 @@ def reference_quotient(F: Polynomial, G: Polynomial) -> Polynomial:
             f"F - H + H*F for this group (first stray term {next(iter(remainder))})"
         )
     return quotient
+
+
+def reference_canonical(sigma, perm) -> bool:
+    """True when sign region sigma is the lexicographic representative of its orbit.
+
+    The orbit is sigma's images under the parameter rotation ``perm`` and
+    its square, each built in full; signs rank 0 < 1 < -1.
+    """
+    code = tuple(_SIGN_RANK[s] for s in sigma)
+    image = tuple(sigma)
+    for _ in range(2):
+        image = tuple(image[perm[i]] for i in range(len(perm)))
+        if tuple(_SIGN_RANK[s] for s in image) < code:
+            return False
+    return True

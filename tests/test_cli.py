@@ -139,6 +139,30 @@ class TestFamilyCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "lo,hi,witnesses",
+        [("-1", "1", {"1": {"a": "0"}, "2": {"a": "1"}}), (None, "-1", {"2": {"a": "-1"}})],
+        ids=["zero-inside", "zero-outside"],
+    )
+    def test_sign_choices_follow_declared_bounds(self, capsys, tmp_path, lo, hi, witnesses):
+        """A sign is tried exactly when a value of that sign lies in [lo, hi]."""
+        fam = {
+            "nvars": 1,
+            "params": [{"name": "a", "lo": lo, "hi": hi, "mono": None}],
+            "slots": [{"e": None, "form": {"const": "0", "a": "1"}},
+                      {"e": None, "form": {"const": "1"}}],
+        }
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(json.dumps(fam))
+        code, out, _ = run(
+            capsys, "family", "l0range", "--family", str(fam_file), "--no-orthant",
+            "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["achievable"] == witnesses
+        assert data["certified_absent"] == [v for v in (0, 1, 2) if str(v) not in witnesses]
+
 
 class TestGaps:
     def test_weighted_report(self, capsys):

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import pytest
 
 from invsp import ratlp, sweep
-from invsp.affinefamily import build_coefficient_family
+from invsp.affinefamily import AffineFamily, build_coefficient_family, cross_check_instantiate
 from invsp.construct import basic_poly_closed
 from invsp.gapsearch import (
     GAMMA7_CATALOG,
@@ -24,10 +24,13 @@ from invsp.rat import rat
 from invsp.sweep import run_l0_sweep
 from invsp.transform import tensor_step, validate_special
 
+from reference_kernels import reference_canonical
+
 G7 = GroupSpec.gamma7()
 F7 = basic_poly_closed(G7)
 STATS_KEYS = {"nodes", "lp_calls", "regions_total", "regions_explored",
-              "regions_infeasible", "leaves", "pivots", "pruned_box", "pruned_window"}
+              "regions_infeasible", "leaves", "pivots", "pruned_box", "pruned_window",
+              "pruned_orbit"}
 
 
 class TestSweeps:
@@ -245,6 +248,48 @@ class TestSweepEngineEdges:
             assert set(stats) == STATS_KEYS, type(rep).__name__
             assert stats == asdict(rep.stats)
 
+    @pytest.mark.parametrize("name,hi", [("D", "0"), ("D", "1"), ("C", "0")])
+    def test_orbit_cut_needs_rotation_invariant_bounds(self, name, hi):
+        """One bounded parameter breaks the rotation's symmetry of the bounds."""
+        data = build_coefficient_family(G7, 4, "signed").to_json_dict()
+        for param in data["params"]:
+            if param["name"] == name:
+                param["hi"] = hi
+        fam = AffineFamily.from_json_dict(data)
+        assert fam.symmetry is not None  # the slot forms are still symmetric
+        cut = run_l0_sweep(fam)
+        fam.symmetry = None
+        full = run_l0_sweep(fam)
+        assert cut.exhaustive and full.exhaustive
+        assert cut.to_json_dict() == full.to_json_dict()
+        assert {32, 37, 42} <= set(full.achievable)
+
+    @staticmethod
+    def cubic_free_sign_point():
+        """H = (y - x)^3: its G has 6 terms, with m0_3 and m3_0 of both signs."""
+        fam = build_coefficient_family(GroupSpec.scalar(3, 2), 3, "signed")
+        point = {p.name: rat(0) for p in fam.params}
+        point.update(m0_3=rat(1), m1_2=rat(-3), m2_1=rat(3), m3_0=rat(-1))
+        return fam, point
+
+    def test_cubic_free_sign_has_a_six_term_point(self):
+        fam, point = self.cubic_free_sign_point()
+        assert cross_check_instantiate(fam, point)
+        G = tensor_step(basic_poly_closed(fam.group), fam.h_polynomial(point))
+        rep = validate_special(fam.group, G)
+        assert rep.invariant and rep.constant_on_hyperplane and rep.zero_at_origin
+        assert G.term_count() == 6
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the free-sign sweep takes sign choices from the declared lower "
+        "bound, so a structural parameter is never tried negative",
+    )
+    def test_cubic_free_sign_sweep_witnesses_six(self):
+        fam, _ = self.cubic_free_sign_point()
+        rep = run_l0_sweep(fam, orthant=False)
+        assert 6 in rep.achievable and 6 not in rep.certified_absent
+
 
 class TestSignRegionWalk:
     """One lazy walk over sign regions, under one global budget."""
@@ -335,7 +380,7 @@ class TestSignRegionWalk:
         assert not rep.exhaustive
         assert seen and len(seen) == rep.stats.regions_explored
         perm = fam.symmetry[0]
-        assert all(sweep._canonical(sigma, perm) for sigma in seen)
+        assert all(reference_canonical(sigma, perm) for sigma in seen)
 
 
 class TestUnconditionalScope:

@@ -16,7 +16,7 @@ from invsp.polycore import (
 )
 from invsp.rat import Rat, rat
 
-from conftest import polynomials
+from conftest import polynomials, rationals
 from reference_kernels import reference_mul
 
 X = Polynomial.variable(2, 0)
@@ -113,6 +113,20 @@ class TestMultiplyKernel:
         got = (a + b) * (a - b)
         assert_same_product(got, reference_mul(a + b, a - b))
         assert got == reference_mul(a, a) - reference_mul(b, b)
+
+    @pytest.mark.parametrize("nvars", [0, 1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_term_operand_on_either_side(self, nvars, data):
+        a = data.draw(polynomials(nvars, max_terms=6, max_exp=6))
+        term = data.draw(
+            polynomials(nvars, max_terms=1, max_exp=6, coeffs=rationals().filter(bool),
+                        allow_zero=False)
+        )
+        assert term.term_count() == 1
+        assert_same_product(a * term, reference_mul(a, term))
+        assert_same_product(term * a, reference_mul(term, a))
+        assert Polynomial.__rmul__ is Polynomial.__mul__
 
     @pytest.mark.parametrize("nvars", [0, 1, 2, 3])
     def test_zero_operands(self, nvars):

@@ -55,13 +55,10 @@ class UsageError(Exception):
 
 
 def _emit(data: dict, fmt: str, text_renderer=None) -> None:
-    if fmt == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
+    if fmt != "json" and text_renderer:
+        text_renderer(data)
     else:
-        if text_renderer:
-            text_renderer(data)
-        else:
-            print(json.dumps(data, indent=2, sort_keys=True))
+        print(json.dumps(data, indent=2, sort_keys=True))
 
 
 def _load_json_file(path: str):

@@ -10,17 +10,20 @@ Structure of the search, mirroring a by-hand case analysis:
 
 1. Parameters are split by exact sign (zero / positive / negative where a
    negative value is allowed), giving a lattice of sign regions, walked
-   depth first over the parameters in their stored order.  Within a
-   region, zero parameters are substituted away.  On the orthant each
-   prefix is settled before the walk descends: with its zero parameters
-   substituted away, its sign boxes and the family's bounds for the
-   parameters still unsigned are propagated, and the whole subtree is cut
-   when a box empties or a constant slot is negative, or when more slots
-   are positive in every region below than the largest sought value.
-2. Interval propagation over the region's parameter box decides most slot
-   forms outright (always positive, identically zero, forced zero, or a
-   witness that the region is empty); only genuinely ambiguous forms are
-   branched on, with an exact rational LP as the feasibility oracle.
+   depth first over the parameters in their stored order.  Every prefix,
+   a full region included, is settled before the walk goes on: its zero
+   parameters are substituted away, and each slot that vanishes, or is
+   nonzero in every region below, is counted and dropped.  On the orthant
+   the sign boxes and the family's bounds for the parameters still
+   unsigned are first propagated, nonzero means positive, and the whole
+   subtree is cut when a box empties or a constant slot is negative; in
+   the free-sign regime nonzero means either sign over the sign boxes.  In
+   both, the subtree is cut when more slots are nonzero in every region
+   below than the largest sought value.
+2. A region reaches the search settled: the count of its nonzero slots,
+   its propagated boxes and its undecided slot forms.  A form the boxes
+   cap at zero is forced to vanish, and only genuinely ambiguous forms
+   are branched on, with an exact rational LP as the feasibility oracle.
    Propagation runs on the slot forms scaled to integers, one pass per
    form, with bounds kept as ints wherever they are integral; the LP rows
    use the rational forms.
@@ -38,9 +41,10 @@ Structure of the search, mirroring a by-hand case analysis:
 One budget bounds the whole sweep: every node of the sign lattice and
 every search node inside a region costs one unit, and a subtree cut at a
 prefix costs all of its lattice nodes.  A region cut by the boxes or the
-value window is one the region search would have left without a node, and
-one cut by the rotation is one the walk would never have yielded, so a
-budget reaches exactly the regions it reached without the cuts.  Regions
+value window, at a shorter prefix or at its own, is one the region search
+would have left without a node, and one cut by the rotation is one the
+walk would never have yielded, so a budget reaches exactly the regions it
+would reach without the cuts.  Regions
 are settled in the lattice walk's order, and the sweep stops, marked
 non-exhaustive, where the budget runs out, or, exhaustive, once every
 sought value is witnessed.  One process walks the lattice and settles each
@@ -51,7 +55,7 @@ sought values and the budget.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import ratlp
@@ -67,18 +71,14 @@ _CANON_RANK = {0: 0, 1: 1, -1: 2}  # the order of signs in the orbit test
 class SweepStats:
     nodes: int = 0
     lp_calls: int = 0
-    regions_total: int = 0
-    regions_explored: int = 0
-    regions_infeasible: int = 0
+    regions_total: int = 0  # regions the walk yields to the region search
+    regions_explored: int = 0  # the same count, under the name tools also read
+    regions_infeasible: int = 0  # ... that the region search finds empty
     leaves: int = 0
     pivots: int = 0  # simplex pivots summed over every LP call
-    pruned_box: int = 0  # lattice subtrees cut at a prefix by an empty box
-    pruned_window: int = 0  # ... by more positive slots than any sought value
-    pruned_orbit: int = 0  # ... or a region, by the rotation: none below is canonical
-
-    def merge(self, other: "SweepStats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+    pruned_box: int = 0  # subtrees cut at a prefix, a region's own included: empty box
+    pruned_window: int = 0  # ... more nonzero slots than any sought value
+    pruned_orbit: int = 0  # ... the rotation: no region below is canonical
 
 
 @dataclass
@@ -243,7 +243,10 @@ def _quotient(num, den: int):
     return int(q.numerator) if q.denominator == 1 else q
 
 
-def _propagate_box(boxes, forms, rounds: int = 3) -> bool:
+_ROUNDS = 3  # passes over the forms per propagation; a fixpoint may need more
+
+
+def _propagate_box(boxes, forms) -> bool:
     """Tighten parameter boxes using form >= 0; False if a box empties.
 
     One pass per form: the terms that cap the form from above are summed
@@ -253,7 +256,7 @@ def _propagate_box(boxes, forms, rounds: int = 3) -> bool:
     weight, ``hi`` for a negative one), so no update inside a form changes
     another item's rest.
     """
-    for _ in range(rounds):
+    for _ in range(_ROUNDS):
         changed = False
         for const, items in forms:
             total = const
@@ -297,83 +300,49 @@ def _propagate_box(boxes, forms, rounds: int = 3) -> bool:
 # -- per-region search -----------------------------------------------------------
 
 
-class _RegionOutcome:
-    __slots__ = ("found", "complete", "stats")
-
-    def __init__(self, found, complete, stats):
-        self.found = found
-        self.complete = complete
-        self.stats = stats
-
-
 def _explore_region(
     comp: _Compiled,
     sigma: Tuple[int, ...],
+    leaf: _Prefix,
     sought: FrozenSet[int],
     cap: int,
-) -> _RegionOutcome:
-    stats = SweepStats(regions_explored=1)
+    stats: SweepStats,
+) -> Tuple[Dict[int, Dict[str, Rat]], bool]:
+    """Search the region sigma, settled as ``leaf``, for the sought values.
+
+    Counts into ``stats`` and returns the values it witnessed, each with its
+    point, and whether the search ran to the end within ``cap`` nodes.
+    """
     found: Dict[int, Dict[str, Rat]] = {}
     remaining = set(sought)
-
     support = [i for i, s in enumerate(sigma) if s != 0]
-    zero_positions = {i for i, s in enumerate(sigma) if s == 0}
+    boxes = leaf.tight
 
-    # reduce the integer slot forms over the support
-    reduced = []  # (slot, integer const, integer items)
-    n_base = 0  # slots decided nonzero for the whole region
-    for slot in comp.slots:
-        items = tuple(it for it in slot.iitems if it[0] not in zero_positions)
-        if items:
-            reduced.append((slot, slot.iconst, items))
-        elif slot.iconst == 0:
-            continue  # vanishes on the whole region
-        elif slot.iconst > 0 or not comp.orthant:
-            n_base += 1
-        else:
-            stats.regions_infeasible += 1
-            return _RegionOutcome({}, True, stats)
+    def rational(k):  # slot k's rational form over the support, for the LP
+        slot = comp.slots[k]
+        return slot.const, tuple((p, w) for p, w in slot.items if sigma[p])
 
-    # parameter boxes for the region
-    boxes: List[Optional[tuple]] = [None] * len(comp.names)
-    for i in support:
-        boxes[i] = _signed_box((comp.lo[i], comp.hi[i], False, False), sigma[i])
-
-    if comp.orthant:
-        ok = _propagate_box(boxes, [(c, it) for _, c, it in reduced])
-        if not ok:
-            stats.regions_infeasible += 1
-            return _RegionOutcome({}, True, stats)
-
-    def rational(slot):  # the slot's rational form over the support, for the LP
-        return slot.const, tuple((p, w) for p, w in slot.items if p not in zero_positions)
-
+    # Propagation stops after a few rounds, so a slot may still be capped at
+    # zero, or below it, over the leaf's boxes.
     forced_zero: List[tuple] = []
     ambiguous: List[tuple] = []
-    for slot, const, items in reduced:
-        fmin, min_att, fmax, max_att = _interval_of(const, items, boxes)
+    for k, form in enumerate(leaf.forms):
+        if form is None:
+            continue
         if comp.orthant:
+            _, _, fmax, max_att = _interval_of(*form, boxes)
             if fmax is not None and (fmax < 0 or (fmax == 0 and not max_att)):
                 stats.regions_infeasible += 1
-                return _RegionOutcome({}, True, stats)
-            if fmax is not None and fmax == 0:
-                forced_zero.append(rational(slot))
+                return found, True
+            if fmax == 0:
+                forced_zero.append(rational(k))
                 continue
-            if fmin is not None and (fmin > 0 or (fmin == 0 and not min_att)):
-                n_base += 1
-                continue
-            ambiguous.append(rational(slot))
-        else:
-            if (fmin is not None and (fmin > 0 or (fmin == 0 and not min_att))) or (
-                fmax is not None and (fmax < 0 or (fmax == 0 and not max_att))
-            ):
-                n_base += 1
-            else:
-                ambiguous.append(rational(slot))
+        ambiguous.append(rational(k))
 
     # the value window: no count this region can reach is still sought
+    n_base = leaf.n_pos
     if not any(n_base <= v <= n_base + len(ambiguous) for v in remaining):
-        return _RegionOutcome({}, True, stats)
+        return found, True
 
     n_vars = len(support) + 1  # support parameters plus slack t
     pos_of = {p: k for k, p in enumerate(support)}
@@ -483,20 +452,19 @@ def _explore_region(
         else:
             dfs(zeros, positives + [head], rest, None)
 
-    complete = True
     try:
         tick()
         if comp.orthant:
             start = solve([], [], ambiguous)
             if start is None:
                 stats.regions_infeasible += 1
-                return _RegionOutcome({}, True, stats)
+                return found, True
             dfs([], [], ambiguous, start)
         else:
             dfs([], [], ambiguous, None)
     except _BudgetExhausted:
-        complete = False
-    return _RegionOutcome(found, complete, stats)
+        return found, False
+    return found, True
 
 
 # -- the sign-region walk and the public sweep -----------------------------------
@@ -576,23 +544,25 @@ _BOX, _WINDOW = "pruned_box", "pruned_window"  # the prefix cut rules, as stats 
 
 
 class _Prefix:
-    """A sign prefix on the orthant, as every region below it shares it.
+    """A sign prefix, as every region below it shares it; at full length, a region.
 
     ``forms`` holds each slot's integer form with the zero parameters
     substituted away, or None once the slot is settled: vanishing, or
-    positive in every region below (counted in ``n_pos``).  ``boxes`` holds
-    the sign box of each parameter with a sign, None for a zero one, and
-    the family's own bounds for each parameter without a sign yet.
+    nonzero in every region below (counted in ``n_pos``), which on the
+    orthant means positive and in the free-sign regime either sign.
+    ``boxes`` holds the sign box of each parameter with a sign, None for a
+    zero one, and the family's own bounds for each parameter without a sign
+    yet; ``tight`` holds the boxes settling left, propagated on the orthant.
 
-    Propagation starts from these boxes at every prefix.  It is monotone in
-    the boxes and in the forms (fewer forms, wider boxes), and a parameter
-    substituted by zero acts as the box [0, 0], so a prefix's propagated
-    boxes contain those :func:`_explore_region` computes for any region
-    below it.  A cut prefix therefore holds no region that the region
-    search would spend a node on.
+    Propagation starts from the sign boxes at every prefix.  It is monotone
+    in the boxes and in the forms (fewer forms, wider boxes), and a
+    parameter substituted by zero acts as the box [0, 0], so a prefix's
+    propagated boxes contain those a region below it gets by settling all
+    its slots afresh.  A cut prefix therefore holds no region that the
+    region search would spend a node on.
     """
 
-    __slots__ = ("forms", "boxes", "n_pos")
+    __slots__ = ("forms", "boxes", "tight", "n_pos")
 
     def __init__(self, forms, boxes, n_pos: int):
         self.forms = forms
@@ -605,9 +575,9 @@ class _Prefix:
         forms = [(slot.iconst, slot.iitems) for slot in comp.slots]
         boxes = [(lo, hi, False, False) for lo, hi in zip(comp.lo, comp.hi)]
         prefix = cls(forms, boxes, 0)
-        return prefix, prefix._settle(range(len(forms)), top)
+        return prefix, prefix._settle(range(len(forms)), comp.orthant, top)
 
-    def child(self, p: int, s: int, occurs: Sequence[int], top: int):
+    def child(self, p: int, s: int, occurs: Sequence[int], orthant: bool, top: int):
         """The prefix extended by sign s for parameter p, and its cut rule."""
         forms = list(self.forms)
         boxes = list(self.boxes)
@@ -620,16 +590,16 @@ class _Prefix:
         else:
             boxes[p] = _signed_box(boxes[p], s)
         prefix = _Prefix(forms, boxes, self.n_pos)
-        return prefix, prefix._settle(occurs, top)
+        return prefix, prefix._settle(occurs, orthant, top)
 
-    def _settle(self, touched: Sequence[int], top: int):
+    def _settle(self, touched: Sequence[int], orthant: bool, top: int):
         """Settle the slots after a change to the touched ones; the cut rule.
 
-        Cut when a box empties or a constant slot is negative (``_BOX``),
-        or when more than ``top`` slots are positive in every region below
-        (``_WINDOW``).  A slot positive over the propagated boxes stays so
-        in every region below, so it is counted and dropped from the forms.
-        Only a touched slot can have become constant.
+        Cut when more than ``top`` slots are nonzero in every region below
+        (``_WINDOW``), or, on the orthant, when a box empties or a constant
+        slot is negative (``_BOX``).  A slot nonzero over the tight boxes
+        stays so in every region below, so it is counted and dropped from
+        the forms.  Only a touched slot can have become constant.
         """
         forms = self.forms
         for k in touched:
@@ -637,19 +607,23 @@ class _Prefix:
                 continue
             const = forms[k][0]
             forms[k] = None
-            if const < 0:
+            if const < 0 and orthant:
                 return _BOX
-            self.n_pos += const > 0
+            self.n_pos += const != 0
         if self.n_pos > top:
             return _WINDOW
         active = [k for k, form in enumerate(forms) if form is not None]
-        boxes = list(self.boxes)
-        if not _propagate_box(boxes, [forms[k] for k in active]):
+        boxes = self.tight = list(self.boxes)
+        if orthant and not _propagate_box(boxes, [forms[k] for k in active]):
             return _BOX
         for k in active:
             const, items = forms[k]
-            fmin, min_att, _, _ = _interval_of(const, items, boxes)
-            if fmin is not None and (fmin > 0 or (fmin == 0 and not min_att)):
+            fmin, min_att, fmax, max_att = _interval_of(const, items, boxes)
+            if (fmin is not None and (fmin > 0 or (fmin == 0 and not min_att))) or (
+                not orthant
+                and fmax is not None
+                and (fmax < 0 or (fmax == 0 and not max_att))
+            ):
                 forms[k] = None
                 self.n_pos += 1
         return _WINDOW if self.n_pos > top else None
@@ -660,22 +634,23 @@ def _walk(
 ):
     """Depth-first walk of the sign lattice, in ``itertools.product`` order.
 
-    Yields ``(sigma, ticks)`` for every region that passes
-    :func:`_region_ok` and, when ``perm`` is given, is canonical under it:
-    lexicographically no larger, with signs ranked 0 < 1 < -1, than its
-    images under the rotation and its square.  ``ticks`` counts the lattice
-    nodes visited so far: the root, every prefix, and sigma's own node, with
-    a cut subtree charged all its nodes.
+    Yields ``(sigma, leaf, ticks)`` for every region that passes
+    :func:`_region_ok`, stands once settled and, when ``perm`` is given, is
+    canonical under it: lexicographically no larger, with signs ranked
+    0 < 1 < -1, than its images under the rotation and its square.
+    ``leaf`` is the region as its full-length :class:`_Prefix` settled it.
+    ``ticks`` counts the lattice nodes visited so far: the root, every
+    prefix, and sigma's own node, with a cut subtree charged all its nodes.
 
     At every prefix length the rotation maps onto itself, the full length
     included, the prefix is tested first against its images (compared
     incrementally by :func:`_orbit_tied`), and when an image is smaller the
     subtree, whose every region is then non-canonical, is cut and counted
-    in ``stats.pruned_orbit``.  On the orthant every prefix that stands and
-    is short of a full region is then settled by :class:`_Prefix` against
-    ``top``, the largest sought value, and each subtree it cuts is counted
-    in ``stats`` under its rule.  A final ``(None, ticks)`` closes the walk,
-    which stops early once ``ticks`` exceeds ``limit``.
+    in ``stats.pruned_orbit``.  Every prefix that stands, the full length
+    included, is then settled by :class:`_Prefix` against ``top``, the
+    largest sought value, and each subtree it cuts is counted in ``stats``
+    under its rule.  A final ``(None, None, ticks)`` closes the walk, which
+    stops early once ``ticks`` exceeds ``limit``.
     """
     choices = comp.choices
     n = len(choices)
@@ -689,22 +664,21 @@ def _walk(
     for k, slot in enumerate(comp.slots):
         for p, _ in slot.iitems:
             occurs[p].append(k)
-    prefixes: List[Optional[_Prefix]] = [None] * n
+    prefixes: List[Optional[_Prefix]] = [None] * (n + 1)
     sigma = [0] * n
     nxt = [0] * n  # the next sign to try at each depth
     ticks = 1  # the root
     depth = 0
-    if comp.orthant and n:
-        prefixes[0], rule = _Prefix.root(comp, top)
-        if rule is not None:
-            setattr(stats, rule, getattr(stats, rule) + 1)
-            ticks += below[0]
-            depth = -1
+    prefixes[0], rule = _Prefix.root(comp, top)
+    if rule is not None:
+        setattr(stats, rule, getattr(stats, rule) + 1)
+        ticks += below[0]
+        depth = -1
     while depth >= 0 and ticks <= limit:
         if depth == n:
             tup = tuple(sigma)
             if _region_ok(comp, tup, h_degree_exact, skip_all_zero):
-                yield tup, ticks
+                yield tup, prefixes[n], ticks
             depth -= 1
             continue
         c = nxt[depth]
@@ -723,16 +697,14 @@ def _walk(
                 ticks += below[depth + 1]
                 continue
             tied[depth + 1] = flags
-        parent = prefixes[depth]
-        if parent is not None and depth + 1 < n:
-            prefix, rule = parent.child(depth, s, occurs[depth], top)
-            if rule is not None:
-                setattr(stats, rule, getattr(stats, rule) + 1)
-                ticks += below[depth + 1]
-                continue
-            prefixes[depth + 1] = prefix
+        prefix, rule = prefixes[depth].child(depth, s, occurs[depth], comp.orthant, top)
+        if rule is not None:
+            setattr(stats, rule, getattr(stats, rule) + 1)
+            ticks += below[depth + 1]
+            continue
+        prefixes[depth + 1] = prefix
         depth += 1
-    yield None, ticks
+    yield None, None, ticks
 
 
 def run_l0_sweep(
@@ -766,10 +738,12 @@ def run_l0_sweep(
     remaining = sought_set  # the sought values no region has witnessed yet
     exhaustive = True
     # The prefix window cuts against the static max(sought), not against
-    # remaining: that keeps the walk, and with it each region's budget and the
-    # counters of the d13 fixture, as they are.
+    # remaining: that keeps the walk a pure function of the family and the
+    # sought set, so a region meets the same budget whatever earlier regions
+    # witnessed.
     top = max(sought_set, default=-1)
-    for sigma, ticks in _walk(comp, perm, h_degree_exact, skip_all_zero, top, budget, stats):
+    walk = _walk(comp, perm, h_degree_exact, skip_all_zero, top, budget, stats)
+    for sigma, leaf, ticks in walk:
         cap = budget - ticks - stats.nodes  # lattice and search nodes share it
         if cap < 0:
             exhaustive = False
@@ -777,14 +751,14 @@ def run_l0_sweep(
         if sigma is None:
             break
         stats.regions_total += 1
-        outcome = _explore_region(comp, sigma, remaining, cap)
-        stats.merge(outcome.stats)
-        if outcome.found:  # only values in remaining: each one is new
-            found.update(outcome.found)
+        stats.regions_explored += 1
+        new, complete = _explore_region(comp, sigma, leaf, remaining, cap, stats)
+        if new:  # only values in remaining: each one is new
+            found.update(new)
             remaining = sought_set - found.keys()
             if not remaining:
                 break  # every sought value is witnessed
-        if not outcome.complete:
+        if not complete:
             exhaustive = False
             break
 

@@ -2,15 +2,18 @@
 
 These are the straightforward versions: a product that multiplies every
 pair of terms in the backend's rationals, a division of G - F by F - 1 that
-rescans the whole remainder for its leading term at each step, and an orbit
-test that builds a full region's rotated images.  They share no code with
-``Polynomial.__mul__``, ``transform.quotient_H`` or the sweep's incremental
-orbit cut.
+rescans the whole remainder for its leading term at each step, an orbit
+test that builds a full region's rotated images, and a region classifier
+that settles every slot of one sign region from scratch.  They share no
+code with ``Polynomial.__mul__``, ``transform.quotient_H``, the sweep's
+incremental orbit cut or its prefix settling; the classifier uses only the
+sweep's interval kernels, which ``test_sweep_boxes.py`` checks on their own.
 """
 
 from __future__ import annotations
 
 from invsp.polycore import Polynomial
+from invsp.sweep import _interval_of, _propagate_box, _signed_box
 
 _SIGN_RANK = {0: 0, 1: 1, -1: 2}
 
@@ -74,3 +77,62 @@ def reference_canonical(sigma, perm) -> bool:
         if tuple(_SIGN_RANK[s] for s in image) < code:
             return False
     return True
+
+
+def reference_region(comp, sigma):
+    """Settle every slot of the sign region sigma from scratch.
+
+    Substitutes the zero parameters away, builds the sign box of each
+    parameter in the support, propagates the boxes over every slot on the
+    orthant, and classifies each slot by its interval over them.  Returns
+    None when the region is empty, else ``(n_base, boxes, forced_zero,
+    ambiguous)``: the number of slots nonzero on the whole region, the
+    boxes, and the indices of the slots capped at zero and of those left
+    undecided.
+    """
+    zero_positions = {i for i, s in enumerate(sigma) if s == 0}
+
+    # reduce the integer slot forms over the support
+    reduced = []  # (slot index, integer const, integer items)
+    n_base = 0  # slots decided nonzero for the whole region
+    for k, slot in enumerate(comp.slots):
+        items = tuple(it for it in slot.iitems if it[0] not in zero_positions)
+        if items:
+            reduced.append((k, slot.iconst, items))
+        elif slot.iconst == 0:
+            continue  # vanishes on the whole region
+        elif slot.iconst > 0 or not comp.orthant:
+            n_base += 1
+        else:
+            return None
+
+    # parameter boxes for the region
+    boxes = [None] * len(comp.names)
+    for i, s in enumerate(sigma):
+        if s != 0:
+            boxes[i] = _signed_box((comp.lo[i], comp.hi[i], False, False), s)
+
+    if comp.orthant and not _propagate_box(boxes, [(c, it) for _, c, it in reduced]):
+        return None
+
+    forced_zero, ambiguous = [], []
+    for k, const, items in reduced:
+        fmin, min_att, fmax, max_att = _interval_of(const, items, boxes)
+        if comp.orthant:
+            if fmax is not None and (fmax < 0 or (fmax == 0 and not max_att)):
+                return None
+            if fmax is not None and fmax == 0:
+                forced_zero.append(k)
+                continue
+            if fmin is not None and (fmin > 0 or (fmin == 0 and not min_att)):
+                n_base += 1
+                continue
+            ambiguous.append(k)
+        else:
+            if (fmin is not None and (fmin > 0 or (fmin == 0 and not min_att))) or (
+                fmax is not None and (fmax < 0 or (fmax == 0 and not max_att))
+            ):
+                n_base += 1
+            else:
+                ambiguous.append(k)
+    return n_base, boxes, forced_zero, ambiguous

@@ -370,9 +370,9 @@ class TestSignRegionWalk:
         seen = []
         explore = sweep._explore_region
 
-        def spy(comp, sigma, sought, cap):
+        def spy(comp, sigma, leaf, sought, cap, stats):
             seen.append(sigma)
-            return explore(comp, sigma, sought, cap)
+            return explore(comp, sigma, leaf, sought, cap, stats)
 
         monkeypatch.setattr(sweep, "_explore_region", spy)
         fam = self.degree17()

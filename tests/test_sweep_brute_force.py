@@ -96,11 +96,11 @@ def test_regions_seek_only_undecided_values(orthant, monkeypatch):
     found, overlaps = set(), []
     explore = sweep._explore_region
 
-    def spy(comp, sigma, sought, cap):
+    def spy(comp, sigma, leaf, sought, cap, stats):
         overlaps.append(sought & found)
-        outcome = explore(comp, sigma, sought, cap)
-        found.update(outcome.found)
-        return outcome
+        new, complete = explore(comp, sigma, leaf, sought, cap, stats)
+        found.update(new)
+        return new, complete
 
     monkeypatch.setattr(sweep, "_explore_region", spy)
     fam = build_coefficient_family(GroupSpec.scalar(3, 2), 3, "signed")

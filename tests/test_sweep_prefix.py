@@ -2,17 +2,19 @@
 
 At every prefix the rotation maps onto itself, the walk cuts the subtree
 when a rotated image of the prefix is lexicographically smaller, as then no
-region below is canonical.  On the orthant it settles every other prefix
-before it descends: it cuts the prefix's whole subtree when propagation
-over the prefix's boxes empties a box or leaves a constant slot negative,
-or when more slots are positive in every region below than the largest
-sought value.  Each region in a subtree cut by the boxes or the window must
-be one the region search would dismiss before its first search node, and
-every cut subtree is charged all its lattice nodes, so the budget pays
-exactly what it paid for the region before.  These tests enumerate the
-uncut lattice, check every region the walk leaves out and the tick at which
-it yields each one it keeps, and compare the reports with a sweep that cuts
-nothing.
+region below is canonical.  It settles every other prefix, the full length
+included, before it descends: it cuts the prefix's whole subtree when more
+slots are nonzero in every region below than the largest sought value, or,
+on the orthant, when propagation over the prefix's boxes empties a box or
+leaves a constant slot negative.  Each region in a subtree cut by the boxes
+or the window must be one the region search would dismiss before its first
+search node, and every cut subtree is charged all its lattice nodes, so the
+budget pays exactly what it paid for the region before.  A region the walk
+keeps must reach the region search settled as ``reference_region`` settles
+it from scratch.  These tests enumerate the uncut lattice, check every
+region the walk leaves out, every leaf it settles, and the tick at which it
+yields each region it keeps, and compare the reports with a sweep that cuts
+nothing and settles every region from scratch.
 """
 
 import itertools
@@ -20,11 +22,18 @@ import itertools
 import pytest
 
 from invsp import sweep
-from invsp.affinefamily import build_coefficient_family
+from invsp.affinefamily import (
+    AffineFamily,
+    LinearForm,
+    ParamSpec,
+    SlotSpec,
+    build_coefficient_family,
+)
 from invsp.groups import GroupSpec
+from invsp.rat import rat
 from invsp.sweep import run_l0_sweep
 
-from reference_kernels import reference_canonical
+from reference_kernels import reference_canonical, reference_region
 
 G7 = GroupSpec.gamma7()
 D13_TARGETS = sorted(set(range(1, 29)) | {31, 35, 36})
@@ -32,7 +41,8 @@ D13_TARGETS = sorted(set(range(1, 29)) | {31, 35, 36})
 # (group, degree of H, sought values, h_degree_exact, orthant); the gamma7
 # cases are the ledger's degree 9-13 sweeps (H has degree d - 7), and one
 # degree-13 sweep seeking every value to 39, where some prefix has exactly
-# as many positive slots as the largest sought value.
+# as many positive slots as the largest sought value.  The narrow free-sign
+# case is one where the window cuts without propagation.
 CASES = {
     "gamma7-d9": (G7, 2, None, None, True),
     "gamma7-d10": (G7, 3, None, None, True),
@@ -42,7 +52,9 @@ CASES = {
     "gamma7-d13-to-39": (G7, 6, range(1, 40), None, True),
     "cubic-orthant": (GroupSpec.scalar(3, 2), 3, None, None, True),
     "cubic-free-sign": (GroupSpec.scalar(3, 2), 3, None, None, False),
+    "cubic-free-sign-narrow": (GroupSpec.scalar(3, 2), 3, [4, 5, 6], None, False),
 }
+UNCUT = ("gamma7-d9", "gamma7-d10", "cubic-free-sign")  # lattices no settle cuts
 
 
 def sweep_case(case):
@@ -63,25 +75,75 @@ def lattice_regions(comp, perm, h_exact):
     ]
 
 
+def reaches_sought(ref, sought_set):
+    """Whether the region search would spend a node on a region so settled."""
+    if ref is None:
+        return False  # empty
+    n_base, _, _, ambiguous = ref
+    return any(n_base <= v <= n_base + len(ambiguous) for v in sought_set)
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_cut_regions_need_no_search(case):
     fam, comp, sought_set, h_exact = sweep_case(case)
     perm = sweep._orbit_perm(fam, comp)
     regions = lattice_regions(comp, perm, h_exact)
     walk = sweep._walk(comp, perm, h_exact, False, max(sought_set), 10**30, sweep.SweepStats())
-    kept = [sigma for sigma, _ in walk if sigma is not None]
+    kept = [sigma for sigma, _, _ in walk if sigma is not None]
     in_order = iter(regions)
     assert all(sigma in in_order for sigma in kept)  # a subsequence, same order
     kept = set(kept)
     cut = [sigma for sigma in regions if sigma not in kept]
-    if comp.orthant:
-        assert bool(cut) == (case not in ("gamma7-d9", "gamma7-d10"))
-    else:
-        assert not cut  # the free-sign walk cuts nothing
+    assert bool(cut) == (case not in UNCUT)
     for sigma in cut:
-        outcome = sweep._explore_region(comp, sigma, sought_set, 10**9)
-        assert outcome.complete and not outcome.found, sigma
-        assert outcome.stats.nodes == 0, sigma
+        assert not reaches_sought(reference_region(comp, sigma), sought_set), sigma
+
+
+def settled_leaves(comp, top):
+    """(sigma, leaf, rule) for every region of the lattice no shorter prefix cuts.
+
+    ``leaf`` is the region's full-length prefix and ``rule`` the rule that
+    cuts it, or None when it stands.  No orbit cut is made.
+    """
+    n = len(comp.choices)
+    occurs = [[k for k, slot in enumerate(comp.slots) if any(p == d for p, _ in slot.iitems)]
+              for d in range(n)]
+
+    def below(sigma, prefix, rule):
+        d = len(sigma)
+        if d == n:
+            yield sigma, prefix, rule
+        elif rule is None:
+            for s in comp.choices[d]:
+                yield from below(sigma + (s,), *prefix.child(d, s, occurs[d], comp.orthant, top))
+
+    return below((), *sweep._Prefix.root(comp, top))
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_leaves_settle_as_their_regions(case):
+    """A leaf cut by the boxes is an empty region, one cut by the window
+    has too many nonzero slots, and one that stands reaches the region
+    search with the count, the boxes and the open slots of its region."""
+    _, comp, sought_set, _ = sweep_case(case)
+    top = max(sought_set)
+    rules = set()
+    for sigma, leaf, rule in settled_leaves(comp, top):
+        rules.add(rule)
+        ref = reference_region(comp, sigma)
+        if rule == sweep._BOX:
+            assert ref is None, sigma
+        elif rule == sweep._WINDOW:
+            assert ref is None or ref[0] > top, sigma
+        else:
+            assert ref is not None, sigma
+            n_base, boxes, forced_zero, ambiguous = ref
+            assert leaf.n_pos == n_base, sigma
+            support = [i for i, s in enumerate(sigma) if s != 0]
+            assert [leaf.tight[i] for i in support] == [boxes[i] for i in support], sigma
+            unsettled = {k for k, form in enumerate(leaf.forms) if form is not None}
+            assert unsettled == set(forced_zero) | set(ambiguous), sigma
+    assert None in rules
 
 
 # The degree-17 family at the budgets the benchmark and the CLI tests use:
@@ -134,18 +196,19 @@ def test_walk_yields_each_region_at_its_lattice_tick(case, limit, monkeypatch):
     def walk():
         steps = list(sweep._walk(comp, perm, h_exact, False, max(sought_set), limit,
                                  sweep.SweepStats()))
-        (last, end), steps = steps[-1], steps[:-1]
-        assert last is None
+        (last, leaf, end), steps = steps[-1], steps[:-1]
+        assert last is None and leaf is None
         if limit < 10**30:
             assert end > limit
         else:
             assert end == 1 + below[0]  # every lattice node charged once
-        return steps
+        assert all(len(leaf.forms) == len(comp.slots) for _, leaf, _ in steps)
+        return [(sigma, tick) for sigma, _, tick in steps]
 
     kept = walk()
     in_order = iter(expected)
     assert all(step in in_order for step in kept)  # same ticks, same order
-    monkeypatch.setattr(sweep._Prefix, "_settle", lambda self, touched, top: None)
+    monkeypatch.setattr(sweep._Prefix, "_settle", lambda self, touched, orthant, top: None)
     assert walk() == expected
 
 
@@ -157,9 +220,9 @@ def test_orbit_cut_spares_prefix_settles(case, monkeypatch):
     settles = []
     settle = sweep._Prefix._settle
 
-    def counting(self, touched, top):
+    def counting(self, touched, orthant, top):
         settles.append(None)
-        return settle(self, touched, top)
+        return settle(self, touched, orthant, top)
 
     monkeypatch.setattr(sweep._Prefix, "_settle", counting)
     perm = sweep._orbit_perm(fam, comp)
@@ -173,24 +236,56 @@ def test_orbit_cut_spares_prefix_settles(case, monkeypatch):
     assert counts[0] < counts[1]
 
 
-def without_stats(report):
-    data = report.to_json_dict()
-    del data["stats"]
-    return data
+def leaf_of(comp, sigma, ref):
+    """The region sigma, settled by ``reference_region``, as the walk hands it on."""
+    n_base, boxes, forced_zero, ambiguous = ref
+    forms = [None] * len(comp.slots)
+    for k in forced_zero + ambiguous:
+        slot = comp.slots[k]
+        forms[k] = (slot.iconst, tuple(it for it in slot.iitems if sigma[it[0]] != 0))
+    leaf = sweep._Prefix(forms, None, n_base)
+    leaf.tight = boxes
+    return leaf
+
+
+def reference_sweep(fam, comp, sought_set, h_exact):
+    """The sweep with no prefix cut: every canonical region, settled from scratch."""
+    stats = sweep.SweepStats()
+    found = {}
+    for sigma in lattice_regions(comp, sweep._orbit_perm(fam, comp), h_exact):
+        remaining = sought_set - found.keys()
+        if not remaining:
+            break
+        ref = reference_region(comp, sigma)
+        if ref is None:
+            continue
+        leaf = leaf_of(comp, sigma, ref)
+        new, complete = sweep._explore_region(comp, sigma, leaf, remaining, 10**9, stats)
+        assert complete
+        found.update(new)
+    return found, stats
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_reports_match_a_sweep_that_cuts_nothing(case, monkeypatch):
+def test_reports_match_a_sweep_that_cuts_nothing(case):
     fam, comp, sought_set, h_exact = sweep_case(case)
-    kwargs = dict(orthant=comp.orthant, sought=sorted(sought_set), h_degree_exact=h_exact)
-    cutting = run_l0_sweep(fam, **kwargs)
-    monkeypatch.setattr(sweep._Prefix, "_settle", lambda self, touched, top: None)
-    reference = run_l0_sweep(fam, **kwargs)
-    assert reference.stats.pruned_box == reference.stats.pruned_window == 0
-    assert reference.stats.regions_total == len(
-        lattice_regions(comp, sweep._orbit_perm(fam, comp), h_exact)
-    )
-    assert cutting.exhaustive and reference.exhaustive
-    assert without_stats(cutting) == without_stats(reference)
+    rep = run_l0_sweep(fam, orthant=comp.orthant, sought=sorted(sought_set),
+                       h_degree_exact=h_exact)
+    found, stats = reference_sweep(fam, comp, sought_set, h_exact)
+    assert rep.exhaustive
+    assert rep.achievable == {v: found[v] for v in sorted(found)}
+    assert rep.certified_absent == sorted(sought_set - found.keys())
     for key in ("nodes", "lp_calls", "leaves", "pivots"):
-        assert getattr(cutting.stats, key) == getattr(reference.stats, key), key
+        assert getattr(rep.stats, key) == getattr(stats, key), key
+
+
+def test_a_slot_capped_at_zero_is_forced_to_vanish():
+    """A slot whose largest value over the leaf's boxes is 0 vanishes in
+    every point of the region: the search fixes it to zero, with one LP and
+    no branch, instead of branching on it."""
+    slots = [LinearForm(-1, {"a": 1}), LinearForm(0, {"a": 1})]  # a - 1, a
+    fam = AffineFamily(1, [ParamSpec("a", None, rat(0), rat(1))],
+                       [SlotSpec(None, form) for form in slots])
+    rep = run_l0_sweep(fam, orthant=True)
+    assert rep.achievable == {1: {"a": 1}} and rep.certified_absent == [0, 2]
+    assert (rep.stats.nodes, rep.stats.lp_calls, rep.stats.leaves) == (2, 1, 1)

@@ -10,6 +10,13 @@ Variables are free (unbounded in both directions); encode bounds as
 explicit constraint rows.  Internally each free variable is split into a
 difference of two nonnegative ones.
 
+The start basis is the slack basis wherever a slack can hold the row: a
+row with a negative rhs, and a ``>=`` row with rhs 0, are negated first, so
+every ``<=`` row starts with its slack basic at a nonnegative value.  The
+strict-sign rows ``x_p - t >= 0`` and the bounds ``x_p >= 0`` the sweep
+builds are of the second kind.  Only ``==`` rows and ``>=`` rows with a
+positive rhs get an artificial, and an LP with neither runs no phase 1.
+
 The tableau is fraction-free, in the spirit of Bareiss's integer-preserving
 elimination: each row is a list of Python ints whose real row is the list
 divided by the entry at the row's basic column, which is kept positive.
@@ -20,11 +27,11 @@ out an artificial meets, is negated first).  Ratios are compared by
 cross-multiplication, and the z-row is held as a positive multiple of the
 rational one, since Bland's rule only reads its signs.  Every quantity the
 rules test is thus the exact rational one, so the basis sequence, and with
-it the returned vertex, objective and status, are those of the textbook
-rational tableau with the same column order (u block, v block, slacks,
-artificials).  The tableau holds Python ints whatever the rational
-backend; only the reported values are turned back into the backend's
-:data:`~invsp.rat.Rat`.
+it the returned vertex, objective and status, are those the textbook
+rational tableau reaches from the same start basis with the same column
+order (u block, v block, slacks, artificials).  The tableau holds Python
+ints whatever the rational backend; only the reported values are turned
+back into the backend's :data:`~invsp.rat.Rat`.
 """
 
 from __future__ import annotations
@@ -103,7 +110,7 @@ def solve_lp(
         if rel not in _FLIP:
             raise ValueError(f"unknown relation {rel!r}")
         row, scale = _integer_vector([*coeffs, rhs])
-        if row[-1] < 0:
+        if row[-1] < 0 or (row[-1] == 0 and rel == GE):
             row = [-a for a in row]
             rel = _FLIP[rel]
         rows.append((row, scale))

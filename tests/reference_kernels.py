@@ -3,14 +3,17 @@
 These are the straightforward versions: a product that multiplies every
 pair of terms in the backend's rationals, a division of G - F by F - 1 that
 rescans the whole remainder for its leading term at each step, an orbit
-test that builds a full region's rotated images, and a region classifier
-that settles every slot of one sign region from scratch.  They share no
-code with ``Polynomial.__mul__``, ``transform.quotient_H``, the sweep's
-incremental orbit cut or its prefix settling; the classifier uses only the
+test that builds a full region's rotated images, a region classifier
+that settles every slot of one sign region from scratch, and a dense
+two-phase simplex on ``Fraction``.  They share no code with
+``Polynomial.__mul__``, ``transform.quotient_H``, the sweep's incremental
+orbit cut or its prefix settling, or ``ratlp``; the classifier uses only the
 sweep's interval kernels, which ``test_sweep_boxes.py`` checks on their own.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from invsp.polycore import Polynomial
 from invsp.sweep import _interval_of, _propagate_box, _signed_box
@@ -136,3 +139,83 @@ def reference_region(comp, sigma):
             else:
                 ambiguous.append(k)
     return n_base, boxes, forced_zero, ambiguous
+
+
+def reference_lp(objective, constraints, n_vars, maximize=True):
+    """The textbook two-phase tableau simplex under Bland's rule, on Fraction.
+
+    Rows with a negative rhs, and ``>=`` rows with rhs 0, are negated first;
+    every ``<=`` row then starts with its slack basic, and each ``==`` or
+    ``>=`` row gets an artificial.  Columns are ordered u, v (x = u - v),
+    slacks, artificials.  Returns ``(status, objective, x, pivots)``, the
+    pivots counting drive-out pivots too.
+    """
+    flip = {"<=": ">=", ">=": "<=", "==": "=="}
+    rows, rels = [], []
+    for coeffs, rel, rhs in constraints:
+        r = [Fraction(a) for a in (*coeffs, rhs)]
+        if r[-1] < 0 or (r[-1] == 0 and rel == ">="):
+            r, rel = [-a for a in r], flip[rel]
+        rows.append(r)
+        rels.append(rel)
+    n_split = 2 * n_vars
+    n_slack = sum(rel != "==" for rel in rels)
+    art = n_split + n_slack
+    n_art = sum(rel != "<=" for rel in rels)
+    T, basis, s, a = [], [], n_split, art
+    for r, rel in zip(rows, rels):
+        t = r[:-1] + [-c for c in r[:-1]] + [Fraction(0)] * (n_slack + n_art) + r[-1:]
+        if rel != "==":
+            t[s] = Fraction(1 if rel == "<=" else -1)
+            if rel == "<=":
+                basis.append(s)
+            s += 1
+        if rel != "<=":
+            t[a] = Fraction(1)
+            basis.append(a)
+            a += 1
+        T.append(t)
+    pivots = 0
+
+    def pivot(i, j):
+        nonlocal pivots
+        T[i] = [c / T[i][j] for c in T[i]]
+        for k, other in enumerate(T):
+            if k != i and other[j]:
+                T[k] = [c - other[j] * p for c, p in zip(other, T[i])]
+        basis[i] = j
+        pivots += 1
+
+    def maximize_cost(cost):  # False when unbounded
+        while True:
+            z = [sum(cost[b] * t[j] for t, b in zip(T, basis)) - cost[j]
+                 for j in range(len(cost))]
+            enter = next((j for j, zj in enumerate(z) if zj < 0), None)
+            if enter is None:
+                return True
+            ratios = [(t[-1] / t[enter], basis[i], i) for i, t in enumerate(T) if t[enter] > 0]
+            if not ratios:
+                return False
+            pivot(min(ratios)[2], enter)
+
+    if n_art:
+        cost = [0] * art + [-1] * n_art
+        maximize_cost(cost)
+        if sum(cost[b] * t[-1] for t, b in zip(T, basis)) != 0:
+            return "infeasible", None, None, pivots
+        for i in range(len(T)):
+            if basis[i] >= art:
+                j = next((j for j in range(art) if T[i][j]), None)
+                if j is not None:
+                    pivot(i, j)
+        keep = [i for i, b in enumerate(basis) if b < art]
+        T = [T[i][:art] + T[i][-1:] for i in keep]
+        basis = [basis[i] for i in keep]
+    c = [Fraction(x) if maximize else -Fraction(x) for x in objective]
+    if not maximize_cost(c + [-x for x in c] + [0] * n_slack):
+        return "unbounded", None, None, pivots
+    values = [Fraction(0)] * art
+    for t, b in zip(T, basis):
+        values[b] = t[-1]
+    x = [values[i] - values[n_vars + i] for i in range(n_vars)]
+    return "optimal", sum((Fraction(ci) * xi for ci, xi in zip(objective, x)), Fraction(0)), x, pivots

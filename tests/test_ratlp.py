@@ -1,4 +1,5 @@
-"""Exact rational simplex: unit cases, recorded vertices, a float cross-check."""
+"""Exact rational simplex: unit cases, recorded vertices, a reference tableau
+and a float cross-check."""
 
 import json
 from pathlib import Path
@@ -12,6 +13,7 @@ from invsp import ratlp
 from invsp.rat import rat
 
 from conftest import rationals
+from reference_kernels import reference_lp
 
 
 def solve(c, rows, n, maximize=True):
@@ -131,27 +133,91 @@ class TestBasics:
         assert res.objective == 3 and res.x == [rat(3), rat(-3)]
         assert seen["negative"] >= 1 and seen["removed"] >= 3
 
+    def test_zero_rhs_ge_rows_need_no_phase_one(self, monkeypatch):
+        """A >= row with rhs 0 starts with its slack basic, not an artificial."""
+        calls = []
+        pivot_loop = ratlp._pivot_loop
+
+        def spy(tableau, basis, z_row):
+            calls.append(len(z_row))
+            return pivot_loop(tableau, basis, z_row)
+
+        monkeypatch.setattr(ratlp, "_pivot_loop", spy)
+        # maximize t subject to x - t >= 0, y - t >= 0, x + y <= 1
+        res = solve([0, 0, 1], [row([1, 0, -1], ">=", 0), row([0, 1, -1], ">=", 0),
+                                row([1, 1, 0], "<=", 1)], 3)
+        assert res.status == ratlp.OPTIMAL and res.objective == rat(1, 2)
+        assert calls == [2 * 3 + 3 + 1]  # phase 2 only: u, v, slacks, rhs
+
+
+def _satisfies(coeffs, rel, rhs, x):
+    lhs = sum((a * v for a, v in zip(coeffs, x)), rat(0))
+    return {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[rel]
+
 
 def test_recorded_vertices():
-    """Sweep LPs recorded with a Fraction tableau under the same Bland rule.
+    """Sweep LPs with the vertex the reference tableau reaches, Bland's rule.
 
     Most were picked because another entering rule reaches another optimal
     vertex on them, so they pin the pivot sequence, not just the optimum;
-    a few infeasible ones cover phase 1.
+    a few infeasible ones cover phase 1.  Each pinned vertex is checked to
+    be feasible and to attain the pinned optimum.
     """
     path = Path(__file__).parent / "fixtures" / "lp_vertices.json"
     for case in json.loads(path.read_text()):
         rows = [([rat(a) for a in coeffs], rel, rat(rhs)) for coeffs, rel, rhs in case["rows"]]
-        res = ratlp.solve_lp(
-            [rat(c) for c in case["objective"]], rows, case["n_vars"], case["maximize"]
-        )
+        objective = [rat(c) for c in case["objective"]]
+        res = ratlp.solve_lp(objective, rows, case["n_vars"], case["maximize"])
         expect = case["expect"]
         assert res.status == expect["status"]
         if expect["objective"] is None:
             assert res.objective is None and res.x is None
         else:
+            x = [rat(v) for v in expect["x"]]
+            assert all(_satisfies(*r, x) for r in rows)
+            assert sum((c * v for c, v in zip(objective, x)), rat(0)) == rat(expect["objective"])
             assert res.objective == rat(expect["objective"])
-            assert res.x == [rat(v) for v in expect["x"]]
+            assert res.x == x
+
+
+def _zero_rhs_lp(data, boxed):
+    """A random LP whose >= rows mostly have rhs 0, as the sweep's rows do.
+
+    Rows are drawn as ``>=`` three times in five, and such a row gets rhs 0
+    three times in four; the other rows and rhs make some instances
+    infeasible.  ``boxed`` adds ``-10 <= x_i <= 10`` so that none is
+    unbounded.
+    """
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 6))
+    maximize = data.draw(st.booleans())
+    c = [data.draw(st.integers(-3, 3)) for _ in range(n)]
+    rows = []
+    for _ in range(m):
+        coeffs = [data.draw(rationals(3, 2)) for _ in range(n)]
+        rel = data.draw(st.sampled_from([">=", ">=", ">=", "<=", "=="]))
+        if rel == ">=" and data.draw(st.integers(0, 3)):
+            rhs = rat(0)
+        else:
+            rhs = data.draw(rationals(4, 2))
+        rows.append((coeffs, rel, rhs))
+    if boxed:
+        for i in range(n):
+            unit = [rat(int(j == i)) for j in range(n)]
+            rows.append((unit, "<=", rat(10)))
+            rows.append((list(unit), ">=", rat(-10)))
+    return c, rows, n, maximize
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matches_reference_tableau(data):
+    """solve_lp follows the textbook tableau pivot for pivot."""
+    c, rows, n, maximize = _zero_rhs_lp(data, data.draw(st.booleans()))
+    res = solve(c, rows, n, maximize)
+    assert (res.status, res.objective, res.x, res.pivots) == reference_lp(
+        [rat(v) for v in c], rows, n, maximize
+    )
 
 
 def _float_reference(c, rows, n, maximize):
@@ -237,8 +303,20 @@ class TestAgainstFloatSolver:
             assert ref_status == 2
             return
         assert res.status == ratlp.OPTIMAL and ref_status == 0
-        for coeffs, rel, rhs in rows:
-            lhs = sum((a * x for a, x in zip(coeffs, res.x)), rat(0))
-            assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[rel]
+        assert all(_satisfies(*r, res.x) for r in rows)
         assert res.objective == sum((a * x for a, x in zip(c, res.x)), rat(0))
+        assert abs(float(res.objective) - ref_value) < 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_zero_rhs_lps(self, data):
+        """Mostly zero-rhs >= rows, as the sweep builds them."""
+        c, rows, n, maximize = _zero_rhs_lp(data, boxed=True)
+        res = solve(c, rows, n, maximize)
+        ref_status, ref_value = _float_reference(c, rows, n, maximize)
+        if res.status == ratlp.INFEASIBLE:
+            assert ref_status == 2
+            return
+        assert res.status == ratlp.OPTIMAL and ref_status == 0
+        assert all(_satisfies(*r, res.x) for r in rows)
         assert abs(float(res.objective) - ref_value) < 1e-6

@@ -90,6 +90,16 @@ def test_cubic_scalar_witnesses_are_pinned(orthant):
     assert rep.to_json_dict()["achievable"] == expected
 
 
+@pytest.mark.parametrize("orthant, pivots", [(True, 828), (False, 1137)])
+def test_cubic_scalar_sweep_pivot_counts(orthant, pivots):
+    """Every LP starts from the slack basis on its zero-rhs >= rows, so the
+    pivot count of the cubic sweep is pinned for each regime."""
+    fam = build_coefficient_family(GroupSpec.scalar(3, 2), 3, "signed")
+    rep = run_l0_sweep(fam, orthant=orthant)
+    assert rep.stats.lp_calls == (108 if orthant else 192)
+    assert rep.stats.pivots == pivots
+
+
 @pytest.mark.parametrize("orthant", [True, False])
 def test_regions_seek_only_undecided_values(orthant, monkeypatch):
     """No region searches for a value an earlier region has witnessed."""

@@ -415,15 +415,16 @@ def cross_check_instantiate(fam: AffineFamily, point: Mapping) -> bool:
 # -- pattern feasibility ------------------------------------------------------
 
 
-def lp_row(items, n: int, t_coeff=0) -> List[Rat]:
+def lp_row(items, n: int, t_coeff=0) -> list:
     """LP coefficients over ``n`` columns from (column, weight) pairs.
 
-    The last column is the shared slack t; it gets ``t_coeff``.
+    The last column is the shared slack t; it gets ``t_coeff``.  Columns
+    with no item get the int 0.
     """
-    coeffs = [rat(0)] * n
+    coeffs = [0] * n
     for col, w in items:
         coeffs[col] = w
-    coeffs[-1] = rat(t_coeff)
+    coeffs[-1] = t_coeff
     return coeffs
 
 
@@ -431,11 +432,13 @@ def nonzero_point(lp, rows, forms, n: int) -> Optional[List[Rat]]:
     """A point of ``rows`` with slack t > 0 where every form is nonzero.
 
     ``lp`` maps a row list to the :class:`~invsp.ratlp.LPResult` of
-    maximizing t.  ``forms`` holds (items, const) pairs, items being
-    (column, weight) pairs over the ``n`` columns.  The sign of each form
-    is branched in turn, ``form >= t`` before ``-form >= t``, depth first;
-    the LP vertex of the first branch that keeps t positive down to the
-    last form is returned (t included), or None when no branch does.
+    maximizing t.  ``forms`` holds (items, const, scale) triples, items
+    being (column, weight) pairs over the ``n`` columns and ``scale`` the
+    positive factor the form was multiplied by (1 for a form as it is).
+    The sign of each form is branched in turn, ``form >= scale*t`` before
+    ``-form >= scale*t``, depth first; the LP vertex of the first branch
+    that keeps t positive down to the last form is returned (t included),
+    or None when no branch does.
     """
 
     def rec(k: int, rows):
@@ -444,9 +447,9 @@ def nonzero_point(lp, rows, forms, n: int) -> Optional[List[Rat]]:
             return None
         if k == len(forms):
             return res.x
-        items, const = forms[k]
-        plus = (lp_row(items, n, -1), ratlp.GE, -const)
-        minus = (lp_row([(c, -w) for c, w in items], n, -1), ratlp.GE, const)
+        items, const, scale = forms[k]
+        plus = (lp_row(items, n, -scale), ratlp.GE, -const)
+        minus = (lp_row([(c, -w) for c, w in items], n, -scale), ratlp.GE, const)
         for row in (plus, minus):
             hit = rec(k + 1, rows + [row])
             if hit is not None:
@@ -483,20 +486,20 @@ def pattern_feasible(
     for i, p in enumerate(fam.params):
         lo = p.effective_lo(orthant)
         if lo is not None:
-            base_rows.append((lp_row([(i, rat(1))], n), ratlp.GE, lo))
+            base_rows.append((lp_row([(i, 1)], n), ratlp.GE, lo))
         if p.hi is not None:
-            base_rows.append((lp_row([(i, rat(1))], n), ratlp.LE, p.hi))
-    base_rows.append((lp_row((), n, 1), ratlp.LE, rat(1)))
+            base_rows.append((lp_row([(i, 1)], n), ratlp.LE, p.hi))
+    base_rows.append((lp_row((), n, 1), ratlp.LE, 1))
     for i in zset:
         base_rows.append((lp_row(items(i), n), ratlp.EQ, -fam.slots[i].form.const))
 
     forms = [
-        (items(i), fam.slots[i].form.const)
+        (items(i), fam.slots[i].form.const, 1)
         for i in range(len(fam.slots))
         if i not in zset
     ]
     if orthant:  # every other slot strictly positive: a single LP
-        base_rows += [(lp_row(it, n, -1), ratlp.GE, -const) for it, const in forms]
+        base_rows += [(lp_row(it, n, -1), ratlp.GE, -const) for it, const, _ in forms]
         forms = []
     x = nonzero_point(lambda rows: ratlp.solve_lp(objective, rows, n), base_rows, forms, n)
     if x is None:

@@ -31,6 +31,7 @@ from .sweep import DEFAULT_BUDGET, SweepStats, run_l0_sweep
 from .transform import degree_bound, tensor_step, validate_special
 
 LAMBDA_FIXTURE = rat(1, 2)  # interior scaling used wherever any 0 < lambda < 1 works
+N1_LIMIT = 30  # a one-variable group is checked for every count N in [1, N1_LIMIT]
 
 
 # -- curated witness catalog -----------------------------------------------------
@@ -449,17 +450,6 @@ class GapTheoremReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "group": self.group.to_json_dict(),
-            "checks": [asdict(c) for c in self.checks],
-            "achievable": sorted(self.achievable),
-            "gaps": self.gaps,
-            "undecided": self.undecided,
-            "frontier": self.frontier,
-            "exhaustive": self.exhaustive,
-        }
-
 
 def _validated(g: GroupSpec, value: int, G: Polynomial) -> Polynomial:
     ok, rep = _witness_check(g, value, G)
@@ -491,7 +481,6 @@ def verify_gap_theorem(
     g: GroupSpec,
     *,
     closure_bound: Optional[int] = None,
-    n1_limit: int = 30,
     budget: int = DEFAULT_BUDGET,
 ) -> GapTheoremReport:
     """Certify the achievable set and gaps of the group at desk scale."""
@@ -503,7 +492,7 @@ def verify_gap_theorem(
         m = g.order
         achievable: Dict[int, Polynomial] = {}
         ok = True
-        for d in range(1, n1_limit + 1):
+        for d in range(1, N1_LIMIT + 1):
             terms = {(m * j,): rat(1, d) for j in range(1, d + 1)}
             p = Polynomial(1, terms)
             if not _witness_check(g, d, p)[0]:
@@ -514,7 +503,7 @@ def verify_gap_theorem(
             CheckResult(
                 "dim1-every-count-achievable",
                 ok,
-                f"direct constructions for every N in [1, {n1_limit}]",
+                f"direct constructions for every N in [1, {N1_LIMIT}]",
             )
         )
         return GapTheoremReport(g, checks, achievable, [], [], 1, True)
@@ -774,6 +763,8 @@ def search_targets(
     target_list = sorted(int(v) for v in targets)
     if not target_list:
         raise ValueError("no targets given")
+    # the degree estimate rejects a target it has no bound for before any sweep
+    needed = max(degree_bound(g.nvars, v) for v in target_list) if g.nvars >= 2 else None
     rep = achievable_set(
         g,
         degree_bound_value,
@@ -781,11 +772,7 @@ def search_targets(
         targets=target_list,
         budget=budget,
     )
-    if g.nvars >= 2:
-        needed = max(degree_bound(g.nvars, v) for v in target_list)
-        unconditional = rep.exhaustive and degree_bound_value >= needed
-    else:
-        unconditional = False
+    unconditional = needed is not None and rep.exhaustive and degree_bound_value >= needed
     return SearchReport(
         group=g,
         targets=target_list,

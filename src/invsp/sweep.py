@@ -15,18 +15,18 @@ Structure of the search, mirroring a by-hand case analysis:
    parameters are substituted away, and each slot that vanishes, or is
    nonzero in every region below, is counted and dropped.  On the orthant
    the sign boxes and the family's bounds for the parameters still
-   unsigned are first propagated, nonzero means positive, and the whole
-   subtree is cut when a box empties or a constant slot is negative; in
-   the free-sign regime nonzero means either sign over the sign boxes.  In
-   both, the subtree is cut when more slots are nonzero in every region
+   unsigned are first propagated, nonzero means positive, a slot the
+   boxes cap at zero is marked forced to vanish, and the whole subtree is
+   cut when a box empties or a slot cannot be nonnegative over the boxes;
+   in the free-sign regime nonzero means either sign over the sign boxes.
+   In both, the subtree is cut when more slots are nonzero in every region
    below than the largest sought value.
 2. A region reaches the search settled: the count of its nonzero slots,
-   its propagated boxes and its undecided slot forms.  A form the boxes
-   cap at zero is forced to vanish, and only genuinely ambiguous forms
-   are branched on, with an exact rational LP as the feasibility oracle.
-   Propagation runs on the slot forms scaled to integers, one pass per
-   form, with bounds kept as ints wherever they are integral; the LP rows
-   use the rational forms.
+   its propagated boxes, its forced-zero slots and its open slot forms.
+   Only the open forms are branched on, with an exact rational LP as the
+   feasibility oracle.  Propagation and the LP rows both use the slot
+   forms scaled to integers; the slack t of an LP row gets the slot's
+   scale, so each row is a positive multiple of the rational one.
 3. Regions are settled in walk order, each against the sought values no
    earlier region has witnessed, and branches whose attainable value
    interval cannot contribute a still undecided value are pruned.
@@ -38,18 +38,18 @@ Structure of the search, mirroring a by-hand case analysis:
    and cuts the whole subtree when a rotated image of the prefix is
    smaller: no region below it is its orbit's representative.
 
-One budget bounds the whole sweep: every node of the sign lattice and
-every search node inside a region costs one unit, and a subtree cut at a
-prefix costs all of its lattice nodes.  A region cut by the boxes or the
-value window, at a shorter prefix or at its own, is one the region search
-would have left without a node, and one cut by the rotation is one the
-walk would never have yielded, so a budget reaches exactly the regions it
-would reach without the cuts.  Regions
-are settled in the lattice walk's order, and the sweep stops, marked
-non-exhaustive, where the budget runs out, or, exhaustive, once every
-sought value is witnessed.  One process walks the lattice and settles each
-region as the walk reaches it, so a report depends only on the family, the
-sought values and the budget.
+One budget, which the walk and the region search both pay, bounds the
+whole sweep: every node of the sign lattice and every search node inside a
+region costs one unit, and a subtree cut at a prefix costs all of its
+lattice nodes.  A region cut by the boxes or the value window, at a shorter
+prefix or at its own, is one the region search would have left without a
+node, and one cut by the rotation is one the walk would never have
+yielded, so a budget reaches exactly the regions it would reach without
+the cuts.  Regions are settled in the lattice walk's order, and the sweep
+stops once every sought value is witnessed, or at the first node the
+budget cannot pay, non-exhaustive if a sought value is still unwitnessed.
+One process walks the lattice and settles each region as the walk reaches
+it, so a report depends only on the family, the sought values and the budget.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class SweepStats:
     lp_calls: int = 0
     regions_total: int = 0  # regions the walk yields to the region search
     regions_explored: int = 0  # the same count, under the name tools also read
-    regions_infeasible: int = 0  # ... that the region search finds empty
+    regions_infeasible: int = 0  # ... whose first LP is infeasible (orthant only)
     leaves: int = 0
     pivots: int = 0  # simplex pivots summed over every LP call
     pruned_box: int = 0  # subtrees cut at a prefix, a region's own included: empty box
@@ -116,18 +116,34 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class _Budget:
+    """The one budget of a sweep: lattice and search nodes both spend it."""
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.spent = 0
+
+    def spend(self, n: int) -> None:
+        """Pay n units; raise :class:`_BudgetExhausted` once more than the limit is spent."""
+        self.spent += n
+        if self.spent > self.limit:
+            raise _BudgetExhausted
+
+
 # -- compiled family ------------------------------------------------------------
 
 
 class _CompiledSlot:
-    __slots__ = ("const", "items", "iconst", "iitems")
+    __slots__ = ("scale", "iconst", "iitems")
 
     def __init__(self, const: Rat, items: Tuple[Tuple[int, Rat], ...]):
-        self.const = const
-        self.items = items  # (param position, weight)
-        # The same form times the lcm of its denominators: a positive factor,
-        # so every sign and zero test reads the same on either form.
+        # The form, over (param position, weight) items, times the lcm of its
+        # denominators: a positive factor, so every sign and zero test reads
+        # the same on the rational form and on this one.
         scale = math.lcm(const.denominator, *(w.denominator for _, w in items))
+        self.scale = scale
         self.iconst = _scaled(const, scale)
         self.iitems = tuple((p, _scaled(w, scale)) for p, w in items)
 
@@ -304,69 +320,52 @@ def _explore_region(
     comp: _Compiled,
     sigma: Tuple[int, ...],
     leaf: _Prefix,
-    sought: FrozenSet[int],
-    cap: int,
+    found: Dict[int, Dict[str, Rat]],
+    remaining: set,
+    budget: _Budget,
     stats: SweepStats,
-) -> Tuple[Dict[int, Dict[str, Rat]], bool]:
-    """Search the region sigma, settled as ``leaf``, for the sought values.
+) -> None:
+    """Search the region sigma, settled as ``leaf``, for the remaining values.
 
-    Counts into ``stats`` and returns the values it witnessed, each with its
-    point, and whether the search ran to the end within ``cap`` nodes.
+    Takes the leaf as the walk settled it and writes each value it witnesses
+    into ``found``, with its point, and out of ``remaining``.  Every search
+    node is counted in ``stats`` and paid from ``budget``.  The LP rows are
+    the leaf's integer forms, t weighted by the slot's scale: positive
+    multiples of the rational rows, so the simplex pivots as it would on them.
     """
-    found: Dict[int, Dict[str, Rat]] = {}
-    remaining = set(sought)
     support = [i for i, s in enumerate(sigma) if s != 0]
-    boxes = leaf.tight
+    n_vars = len(support) + 1  # support parameters plus slack t
+    pos_of = {p: k for k, p in enumerate(support)}
 
-    def rational(k):  # slot k's rational form over the support, for the LP
-        slot = comp.slots[k]
-        return slot.const, tuple((p, w) for p, w in slot.items if sigma[p])
+    def entry(k):  # slot k as (LP columns, const, scale)
+        const, items = leaf.forms[k]
+        return [(pos_of[p], w) for p, w in items], const, comp.slots[k].scale
 
-    # Propagation stops after a few rounds, so a slot may still be capped at
-    # zero, or below it, over the leaf's boxes.
-    forced_zero: List[tuple] = []
-    ambiguous: List[tuple] = []
-    for k, form in enumerate(leaf.forms):
-        if form is None:
-            continue
-        if comp.orthant:
-            _, _, fmax, max_att = _interval_of(*form, boxes)
-            if fmax is not None and (fmax < 0 or (fmax == 0 and not max_att)):
-                stats.regions_infeasible += 1
-                return found, True
-            if fmax == 0:
-                forced_zero.append(rational(k))
-                continue
-        ambiguous.append(rational(k))
+    forced_zero = [entry(k) for k in leaf.zero]
+    ambiguous = [
+        entry(k) for k, form in enumerate(leaf.forms) if form is not None and k not in leaf.zero
+    ]
 
     # the value window: no count this region can reach is still sought
     n_base = leaf.n_pos
     if not any(n_base <= v <= n_base + len(ambiguous) for v in remaining):
-        return found, True
+        return
 
-    n_vars = len(support) + 1  # support parameters plus slack t
-    pos_of = {p: k for k, p in enumerate(support)}
     objective = lp_row((), n_vars, 1)
 
-    def cols(items):
-        return [(pos_of[p], w) for p, w in items]
-
     def zero_rows(entries):
-        return [
-            (lp_row(cols(items), n_vars), ratlp.EQ, -const) for const, items in entries
-        ]
+        return [(lp_row(items, n_vars), ratlp.EQ, -const) for items, const, _ in entries]
 
     base_rows = []
     for p in support:
-        lo, hi, _, _ = boxes[p]
-        unit = [(pos_of[p], rat(1))]
+        lo, hi, _, _ = leaf.tight[p]
+        unit = [(pos_of[p], 1)]
         if lo is not None:
-            base_rows.append((lp_row(unit, n_vars), ratlp.GE, rat(lo)))
+            base_rows.append((lp_row(unit, n_vars), ratlp.GE, lo))
         if hi is not None:
-            base_rows.append((lp_row(unit, n_vars), ratlp.LE, rat(hi)))
-        strict = [(pos_of[p], rat(1) if sigma[p] > 0 else rat(-1))]
-        base_rows.append((lp_row(strict, n_vars, -1), ratlp.GE, rat(0)))
-    base_rows.append((lp_row((), n_vars, 1), ratlp.LE, rat(1)))
+            base_rows.append((lp_row(unit, n_vars), ratlp.LE, hi))
+        base_rows.append((lp_row([(pos_of[p], sigma[p])], n_vars, -1), ratlp.GE, 0))
+    base_rows.append((lp_row((), n_vars, 1), ratlp.LE, 1))
     base_rows += zero_rows(forced_zero)
 
     def lp(rows) -> ratlp.LPResult:
@@ -382,20 +381,20 @@ def _explore_region(
         ones nonnegative; otherwise the nonzero entries take either sign.
         """
         rows = base_rows + zero_rows(zero_entries)
-        forms = [(cols(items), const) for const, items in nonzero_entries]
+        forms = nonzero_entries
         if comp.orthant:  # nonzero means positive: no sign to branch on
-            rows += [(lp_row(it, n_vars, -1), ratlp.GE, -const) for it, const in forms]
+            for items, const, scale in forms:
+                rows.append((lp_row(items, n_vars, -scale), ratlp.GE, -const))
             forms = []
-        for const, items in open_entries:
-            rows.append((lp_row(cols(items), n_vars), ratlp.GE, -const))
+        for items, const, _ in open_entries:
+            rows.append((lp_row(items, n_vars), ratlp.GE, -const))
         x = nonzero_point(lp, rows, forms, n_vars)
         return None if x is None else x[:-1]
 
-    def eval_entry(entry, point) -> Rat:
-        const, items = entry
-        total = const
-        for p, w in items:
-            total += w * point[pos_of[p]]
+    def eval_entry(entry, point):  # the slot's value times its scale
+        items, total, _ = entry
+        for col, w in items:
+            total += w * point[col]
         return total
 
     def full_point(point) -> Dict[str, Rat]:
@@ -404,13 +403,9 @@ def _explore_region(
             out[name] = point[pos_of[i]] if i in pos_of else rat(0)
         return out
 
-    budget = [cap]
-
     def tick():
         stats.nodes += 1
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise _BudgetExhausted
+        budget.spend(1)
 
     def dfs(zeros, positives, undecided, point):
         tick()
@@ -452,19 +447,15 @@ def _explore_region(
         else:
             dfs(zeros, positives + [head], rest, None)
 
-    try:
-        tick()
-        if comp.orthant:
-            start = solve([], [], ambiguous)
-            if start is None:
-                stats.regions_infeasible += 1
-                return found, True
-            dfs([], [], ambiguous, start)
-        else:
-            dfs([], [], ambiguous, None)
-    except _BudgetExhausted:
-        return found, False
-    return found, True
+    tick()
+    if comp.orthant:
+        start = solve([], [], ambiguous)
+        if start is None:
+            stats.regions_infeasible += 1
+            return
+        dfs([], [], ambiguous, start)
+    else:
+        dfs([], [], ambiguous, None)
 
 
 # -- the sign-region walk and the public sweep -----------------------------------
@@ -552,7 +543,10 @@ class _Prefix:
     orthant means positive and in the free-sign regime either sign.
     ``boxes`` holds the sign box of each parameter with a sign, None for a
     zero one, and the family's own bounds for each parameter without a sign
-    yet; ``tight`` holds the boxes settling left, propagated on the orthant.
+    yet; ``tight`` holds the boxes settling left, propagated on the orthant,
+    and ``zero`` the unsettled slots those boxes cap at 0 (orthant only),
+    which vanish wherever every slot is nonnegative.  A full-length prefix
+    that stands is the settled region the region search takes as it is.
 
     Propagation starts from the sign boxes at every prefix.  It is monotone
     in the boxes and in the forms (fewer forms, wider boxes), and a
@@ -562,7 +556,7 @@ class _Prefix:
     region search would spend a node on.
     """
 
-    __slots__ = ("forms", "boxes", "tight", "n_pos")
+    __slots__ = ("forms", "boxes", "tight", "zero", "n_pos")
 
     def __init__(self, forms, boxes, n_pos: int):
         self.forms = forms
@@ -596,10 +590,13 @@ class _Prefix:
         """Settle the slots after a change to the touched ones; the cut rule.
 
         Cut when more than ``top`` slots are nonzero in every region below
-        (``_WINDOW``), or, on the orthant, when a box empties or a constant
-        slot is negative (``_BOX``).  A slot nonzero over the tight boxes
-        stays so in every region below, so it is counted and dropped from
-        the forms.  Only a touched slot can have become constant.
+        (``_WINDOW``), or, on the orthant, when a box empties or a slot's
+        maximum over the tight boxes is negative, or is 0 and not attained
+        (``_BOX``); propagation stops after a few rounds, so it can leave
+        such a slot behind.  A slot nonzero over the tight boxes stays so in
+        every region below, so it is counted and dropped from the forms; on
+        the orthant a slot whose maximum is exactly 0 is recorded in
+        ``zero``.  Only a touched slot can have become constant.
         """
         forms = self.forms
         for k in touched:
@@ -616,31 +613,34 @@ class _Prefix:
         boxes = self.tight = list(self.boxes)
         if orthant and not _propagate_box(boxes, [forms[k] for k in active]):
             return _BOX
+        self.zero = []
         for k in active:
             const, items = forms[k]
             fmin, min_att, fmax, max_att = _interval_of(const, items, boxes)
-            if (fmin is not None and (fmin > 0 or (fmin == 0 and not min_att))) or (
-                not orthant
-                and fmax is not None
-                and (fmax < 0 or (fmax == 0 and not max_att))
-            ):
+            negative = fmax is not None and (fmax < 0 or (fmax == 0 and not max_att))
+            if negative and orthant:
+                return _BOX
+            if negative or (fmin is not None and (fmin > 0 or (fmin == 0 and not min_att))):
                 forms[k] = None
                 self.n_pos += 1
+            elif orthant and fmax == 0:
+                self.zero.append(k)
         return _WINDOW if self.n_pos > top else None
 
 
 def _walk(
-    comp: _Compiled, perm, h_degree_exact, skip_all_zero, top: int, limit: int, stats: SweepStats
+    comp: _Compiled, perm, h_degree_exact, skip_all_zero, top: int, budget: _Budget,
+    stats: SweepStats,
 ):
     """Depth-first walk of the sign lattice, in ``itertools.product`` order.
 
-    Yields ``(sigma, leaf, ticks)`` for every region that passes
+    Yields ``(sigma, leaf)`` for every region that passes
     :func:`_region_ok`, stands once settled and, when ``perm`` is given, is
     canonical under it: lexicographically no larger, with signs ranked
     0 < 1 < -1, than its images under the rotation and its square.
     ``leaf`` is the region as its full-length :class:`_Prefix` settled it.
-    ``ticks`` counts the lattice nodes visited so far: the root, every
-    prefix, and sigma's own node, with a cut subtree charged all its nodes.
+    Every lattice node, the root included, is paid from ``budget`` before it
+    is tested or settled, and a cut subtree is charged all its nodes.
 
     At every prefix length the rotation maps onto itself, the full length
     included, the prefix is tested first against its images (compared
@@ -649,8 +649,7 @@ def _walk(
     in ``stats.pruned_orbit``.  Every prefix that stands, the full length
     included, is then settled by :class:`_Prefix` against ``top``, the
     largest sought value, and each subtree it cuts is counted in ``stats``
-    under its rule.  A final ``(None, None, ticks)`` closes the walk, which
-    stops early once ``ticks`` exceeds ``limit``.
+    under its rule.
     """
     choices = comp.choices
     n = len(choices)
@@ -667,18 +666,18 @@ def _walk(
     prefixes: List[Optional[_Prefix]] = [None] * (n + 1)
     sigma = [0] * n
     nxt = [0] * n  # the next sign to try at each depth
-    ticks = 1  # the root
+    budget.spend(1)  # the root
     depth = 0
     prefixes[0], rule = _Prefix.root(comp, top)
     if rule is not None:
         setattr(stats, rule, getattr(stats, rule) + 1)
-        ticks += below[0]
-        depth = -1
-    while depth >= 0 and ticks <= limit:
+        budget.spend(below[0])
+        return
+    while depth >= 0:
         if depth == n:
             tup = tuple(sigma)
             if _region_ok(comp, tup, h_degree_exact, skip_all_zero):
-                yield tup, prefixes[n], ticks
+                yield tup, prefixes[n]
             depth -= 1
             continue
         c = nxt[depth]
@@ -688,23 +687,22 @@ def _walk(
             continue
         nxt[depth] = c + 1
         s = sigma[depth] = choices[depth][c]
-        ticks += 1
+        budget.spend(1)
         start = since[depth + 1]
         if start is not None:
             flags = _orbit_tied(sigma, rotations, start, depth + 1, tied[start])
             if flags is None:
                 stats.pruned_orbit += 1
-                ticks += below[depth + 1]
+                budget.spend(below[depth + 1])
                 continue
             tied[depth + 1] = flags
         prefix, rule = prefixes[depth].child(depth, s, occurs[depth], comp.orthant, top)
         if rule is not None:
             setattr(stats, rule, getattr(stats, rule) + 1)
-            ticks += below[depth + 1]
+            budget.spend(below[depth + 1])
             continue
         prefixes[depth + 1] = prefix
         depth += 1
-    yield None, None, ticks
 
 
 def run_l0_sweep(
@@ -722,7 +720,8 @@ def run_l0_sweep(
     report's ``certified_absent`` lists sought values proven unattainable;
     it is only populated when the sweep ran to completion (``exhaustive``).
     Regions are settled one at a time in walk order, and the sweep stops as
-    soon as every sought value is witnessed.
+    soon as every sought value is witnessed, or at the first lattice or
+    search node ``budget`` cannot pay.
     """
     if orthant is None:
         orthant = fam.orthant_default
@@ -735,32 +734,24 @@ def run_l0_sweep(
     perm = _orbit_perm(fam, comp)
     stats = SweepStats()
     found: Dict[int, Dict[str, Rat]] = {}
-    remaining = sought_set  # the sought values no region has witnessed yet
+    remaining = set(sought_set)  # the sought values no region has witnessed yet
     exhaustive = True
     # The prefix window cuts against the static max(sought), not against
     # remaining: that keeps the walk a pure function of the family and the
     # sought set, so a region meets the same budget whatever earlier regions
     # witnessed.
     top = max(sought_set, default=-1)
-    walk = _walk(comp, perm, h_degree_exact, skip_all_zero, top, budget, stats)
-    for sigma, leaf, ticks in walk:
-        cap = budget - ticks - stats.nodes  # lattice and search nodes share it
-        if cap < 0:
-            exhaustive = False
-            break
-        if sigma is None:
-            break
-        stats.regions_total += 1
-        stats.regions_explored += 1
-        new, complete = _explore_region(comp, sigma, leaf, remaining, cap, stats)
-        if new:  # only values in remaining: each one is new
-            found.update(new)
-            remaining = sought_set - found.keys()
+    meter = _Budget(budget)
+    try:
+        for sigma, leaf in _walk(comp, perm, h_degree_exact, skip_all_zero, top, meter, stats):
+            stats.regions_total += 1
+            stats.regions_explored += 1
+            _explore_region(comp, sigma, leaf, found, remaining, meter, stats)
             if not remaining:
                 break  # every sought value is witnessed
-        if not complete:
-            exhaustive = False
-            break
+    except _BudgetExhausted:
+        # a region may run out after it witnessed the last sought value
+        exhaustive = not remaining
 
     achievable = {v: found[v] for v in sorted(found)}
     certified = sorted(sought_set - set(found)) if exhaustive else []

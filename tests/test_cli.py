@@ -237,6 +237,19 @@ class TestGaps:
         assert code == 2 and out == ""
         assert "--h-degree-exact" in err and "--value-cap" in err
 
+    def test_target_without_degree_estimate_is_rejected_before_the_sweep(
+        self, capsys, monkeypatch
+    ):
+        swept = []
+        monkeypatch.setattr(invsp.gapsearch, "achievable_set",
+                            lambda *args, **kwargs: swept.append(args))
+        code, out, err = run(
+            capsys,
+            "gaps", "--group", "gamma7", "--max-degree", "13", "--targets", "0,31",
+        )
+        assert code == 2 and out == "" and "term count must be positive" in err
+        assert swept == []
+
 
 class TestClosureCommand:
     def test_closure(self, capsys, tmp_path):

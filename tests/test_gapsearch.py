@@ -9,6 +9,7 @@ from invsp.affinefamily import AffineFamily, build_coefficient_family, cross_che
 from invsp.construct import basic_poly_closed
 from invsp.gapsearch import (
     GAMMA7_CATALOG,
+    N1_LIMIT,
     achievable_set,
     catalog_h,
     closure_frontier,
@@ -163,9 +164,9 @@ class TestGapTheorems:
         assert rep.gaps == [v for v in range(1, 2 * m + 1) if v != m + 1]
 
     def test_scalar_dimension_one(self):
-        rep = verify_gap_theorem(GroupSpec.scalar(4, 1), n1_limit=25)
+        rep = verify_gap_theorem(GroupSpec.scalar(4, 1))
         assert rep.all_passed
-        assert sorted(rep.achievable) == list(range(1, 26))
+        assert sorted(rep.achievable) == list(range(1, N1_LIMIT + 1))
 
     def test_gamma7(self):
         rep = verify_gap_theorem(G7)
@@ -339,6 +340,39 @@ class TestSignRegionWalk:
         assert rep.to_json_dict() == full.to_json_dict()
         assert not run_l0_sweep(fam, sought=sought, budget=need - 1).exhaustive
 
+    @pytest.mark.parametrize("orthant", [True, False])
+    def test_budget_spent_after_the_last_witness_keeps_the_sweep_exhaustive(self, orthant):
+        """The region that witnesses 7 runs out of budget on its next node."""
+        fam = self.cubic()
+        rep = run_l0_sweep(fam, orthant=orthant, sought=[7], budget=9)
+        assert rep.exhaustive and sorted(rep.achievable) == [7]
+        assert rep.certified_absent == []
+        assert run_l0_sweep(fam, orthant=orthant, sought=[7], budget=10).to_json_dict() == (
+            rep.to_json_dict()
+        )
+        assert run_l0_sweep(fam, orthant=orthant, sought=[], budget=0).exhaustive
+
+    def test_no_prefix_is_settled_once_the_budget_is_spent(self, monkeypatch):
+        budgets, spent_at_settle = [], []
+
+        class Recorded(sweep._Budget):
+            def __init__(self, limit):
+                super().__init__(limit)
+                budgets.append(self)
+
+        child = sweep._Prefix.child
+
+        def spy(self, *args):
+            spent_at_settle.append(budgets[-1].spent)
+            return child(self, *args)
+
+        monkeypatch.setattr(sweep, "_Budget", Recorded)
+        monkeypatch.setattr(sweep._Prefix, "child", spy)
+        fam = build_coefficient_family(GroupSpec.scalar(2, 2), 4, "signed")
+        rep = run_l0_sweep(fam, orthant=True, budget=300)
+        assert not rep.exhaustive and budgets[-1].spent > 300
+        assert spent_at_settle and max(spent_at_settle) <= 300
+
     @pytest.mark.parametrize("runs", [1, 2])
     def test_sweep_stops_once_every_value_is_witnessed(self, runs):
         """A repeated sweep of one family in one process stops just as soon."""
@@ -370,9 +404,9 @@ class TestSignRegionWalk:
         seen = []
         explore = sweep._explore_region
 
-        def spy(comp, sigma, leaf, sought, cap, stats):
+        def spy(comp, sigma, leaf, found, remaining, budget, stats):
             seen.append(sigma)
-            return explore(comp, sigma, leaf, sought, cap, stats)
+            explore(comp, sigma, leaf, found, remaining, budget, stats)
 
         monkeypatch.setattr(sweep, "_explore_region", spy)
         fam = self.degree17()

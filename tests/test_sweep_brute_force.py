@@ -103,14 +103,13 @@ def test_cubic_scalar_sweep_pivot_counts(orthant, pivots):
 @pytest.mark.parametrize("orthant", [True, False])
 def test_regions_seek_only_undecided_values(orthant, monkeypatch):
     """No region searches for a value an earlier region has witnessed."""
-    found, overlaps = set(), []
+    witnessed, overlaps = set(), []
     explore = sweep._explore_region
 
-    def spy(comp, sigma, leaf, sought, cap, stats):
-        overlaps.append(sought & found)
-        new, complete = explore(comp, sigma, leaf, sought, cap, stats)
-        found.update(new)
-        return new, complete
+    def spy(comp, sigma, leaf, found, remaining, budget, stats):
+        overlaps.append(remaining & witnessed)
+        explore(comp, sigma, leaf, found, remaining, budget, stats)
+        witnessed.update(found)
 
     monkeypatch.setattr(sweep, "_explore_region", spy)
     fam = build_coefficient_family(GroupSpec.scalar(3, 2), 3, "signed")

@@ -88,8 +88,9 @@ def test_cut_regions_need_no_search(case):
     fam, comp, sought_set, h_exact = sweep_case(case)
     perm = sweep._orbit_perm(fam, comp)
     regions = lattice_regions(comp, perm, h_exact)
-    walk = sweep._walk(comp, perm, h_exact, False, max(sought_set), 10**30, sweep.SweepStats())
-    kept = [sigma for sigma, _, _ in walk if sigma is not None]
+    walk = sweep._walk(comp, perm, h_exact, False, max(sought_set), sweep._Budget(10**30),
+                       sweep.SweepStats())
+    kept = [sigma for sigma, _ in walk]
     in_order = iter(regions)
     assert all(sigma in in_order for sigma in kept)  # a subsequence, same order
     kept = set(kept)
@@ -124,7 +125,8 @@ def settled_leaves(comp, top):
 def test_leaves_settle_as_their_regions(case):
     """A leaf cut by the boxes is an empty region, one cut by the window
     has too many nonzero slots, and one that stands reaches the region
-    search with the count, the boxes and the open slots of its region."""
+    search with the count, the boxes, the forced-zero slots and the open
+    slots of its region."""
     _, comp, sought_set, _ = sweep_case(case)
     top = max(sought_set)
     rules = set()
@@ -141,8 +143,9 @@ def test_leaves_settle_as_their_regions(case):
             assert leaf.n_pos == n_base, sigma
             support = [i for i, s in enumerate(sigma) if s != 0]
             assert [leaf.tight[i] for i in support] == [boxes[i] for i in support], sigma
+            assert leaf.zero == forced_zero, sigma
             unsettled = {k for k, form in enumerate(leaf.forms) if form is not None}
-            assert unsettled == set(forced_zero) | set(ambiguous), sigma
+            assert unsettled - set(leaf.zero) == set(ambiguous), sigma
     assert None in rules
 
 
@@ -194,16 +197,18 @@ def test_walk_yields_each_region_at_its_lattice_tick(case, limit, monkeypatch):
             expected.append((sigma, tick))
 
     def walk():
-        steps = list(sweep._walk(comp, perm, h_exact, False, max(sought_set), limit,
-                                 sweep.SweepStats()))
-        (last, leaf, end), steps = steps[-1], steps[:-1]
-        assert last is None and leaf is None
-        if limit < 10**30:
-            assert end > limit
+        budget = sweep._Budget(limit)
+        steps = []
+        try:
+            for sigma, leaf in sweep._walk(comp, perm, h_exact, False, max(sought_set), budget,
+                                           sweep.SweepStats()):
+                assert len(leaf.forms) == len(comp.slots)
+                steps.append((sigma, budget.spent))
+        except sweep._BudgetExhausted:
+            assert limit < 10**30 and budget.spent > limit
         else:
-            assert end == 1 + below[0]  # every lattice node charged once
-        assert all(len(leaf.forms) == len(comp.slots) for _, leaf, _ in steps)
-        return [(sigma, tick) for sigma, _, tick in steps]
+            assert budget.spent == 1 + below[0]  # every lattice node charged once
+        return steps
 
     kept = walk()
     in_order = iter(expected)
@@ -229,8 +234,8 @@ def test_orbit_cut_spares_prefix_settles(case, monkeypatch):
     counts = []
     for orbit in (perm, None):
         settles.clear()
-        for _ in sweep._walk(comp, orbit, h_exact, False, max(sought_set), 10**30,
-                             sweep.SweepStats()):
+        for _ in sweep._walk(comp, orbit, h_exact, False, max(sought_set),
+                             sweep._Budget(10**30), sweep.SweepStats()):
             pass
         counts.append(len(settles))
     assert counts[0] < counts[1]
@@ -245,6 +250,7 @@ def leaf_of(comp, sigma, ref):
         forms[k] = (slot.iconst, tuple(it for it in slot.iitems if sigma[it[0]] != 0))
     leaf = sweep._Prefix(forms, None, n_base)
     leaf.tight = boxes
+    leaf.zero = forced_zero
     return leaf
 
 
@@ -252,17 +258,16 @@ def reference_sweep(fam, comp, sought_set, h_exact):
     """The sweep with no prefix cut: every canonical region, settled from scratch."""
     stats = sweep.SweepStats()
     found = {}
+    remaining = set(sought_set)
+    budget = sweep._Budget(10**9)  # the search must run to the end
     for sigma in lattice_regions(comp, sweep._orbit_perm(fam, comp), h_exact):
-        remaining = sought_set - found.keys()
         if not remaining:
             break
         ref = reference_region(comp, sigma)
         if ref is None:
             continue
         leaf = leaf_of(comp, sigma, ref)
-        new, complete = sweep._explore_region(comp, sigma, leaf, remaining, 10**9, stats)
-        assert complete
-        found.update(new)
+        sweep._explore_region(comp, sigma, leaf, found, remaining, budget, stats)
     return found, stats
 
 

@@ -428,21 +428,21 @@ def lp_row(items, n: int, t_coeff=0) -> list:
     return coeffs
 
 
-def nonzero_point(lp, rows, forms, n: int) -> Optional[List[Rat]]:
-    """A point of ``rows`` with slack t > 0 where every form is nonzero.
+def nonzero_point(base, forms, n: int, add=ratlp.add_rows) -> Optional[List[Rat]]:
+    """A point with slack t > 0 where every form is nonzero, or None.
 
-    ``lp`` maps a row list to the :class:`~invsp.ratlp.LPResult` of
-    maximizing t.  ``forms`` holds (items, const, scale) triples, items
-    being (column, weight) pairs over the ``n`` columns and ``scale`` the
+    ``base`` is the :class:`~invsp.ratlp.LPResult` of maximizing t over the
+    base rows.  ``forms`` holds (items, const, scale) triples, items being
+    (column, weight) pairs over the ``n`` columns and ``scale`` the
     positive factor the form was multiplied by (1 for a form as it is).
     The sign of each form is branched in turn, ``form >= scale*t`` before
-    ``-form >= scale*t``, depth first; the LP vertex of the first branch
-    that keeps t positive down to the last form is returned (t included),
-    or None when no branch does.
+    ``-form >= scale*t``, depth first, each branch's LP re-optimized from
+    its parent's by ``add(parent, [row])`` (:func:`ratlp.add_rows`); the LP
+    vertex of the first branch that keeps t positive down to the last form
+    is returned (t included), or None when no branch does.
     """
 
-    def rec(k: int, rows):
-        res = lp(rows)
+    def rec(k: int, res):
         if res.status != ratlp.OPTIMAL or res.objective <= 0:
             return None
         if k == len(forms):
@@ -451,12 +451,12 @@ def nonzero_point(lp, rows, forms, n: int) -> Optional[List[Rat]]:
         plus = (lp_row(items, n, -scale), ratlp.GE, -const)
         minus = (lp_row([(c, -w) for c, w in items], n, -scale), ratlp.GE, const)
         for row in (plus, minus):
-            hit = rec(k + 1, rows + [row])
+            hit = rec(k + 1, add(res, [row]))
             if hit is not None:
                 return hit
         return None
 
-    return rec(0, list(rows))
+    return rec(0, base)
 
 
 def pattern_feasible(
@@ -501,7 +501,7 @@ def pattern_feasible(
     if orthant:  # every other slot strictly positive: a single LP
         base_rows += [(lp_row(it, n, -1), ratlp.GE, -const) for it, const, _ in forms]
         forms = []
-    x = nonzero_point(lambda rows: ratlp.solve_lp(objective, rows, n), base_rows, forms, n)
+    x = nonzero_point(ratlp.solve_lp(objective, base_rows, n), forms, n)
     if x is None:
         return PatternResult(zset, False, None, None)
     witness = {p.name: x[i] for i, p in enumerate(fam.params)}

@@ -126,6 +126,22 @@ class CyclotomicElement:
                 raw[k - p + 1 + i] -= c
         return CyclotomicElement(p, tuple(raw[:n]))
 
+    def times_eta_power(self, k: int, sign: int = 1) -> "CyclotomicElement":
+        """self * (sign * eta^k), for sign +1 or -1, without a general product.
+
+        On the basis 1, eta, ..., eta^(p-1) multiplying by eta^k rotates the
+        coefficients by k places; the reduction of eta^(p-1) then subtracts
+        its coefficient from every other.
+        """
+        p = self.p
+        k %= p
+        full = self.coeffs + (rat(0),)
+        rotated = full[p - k:] + full[:p - k]  # rotated[(i + k) % p] = full[i]
+        top = rotated[-1]
+        if sign < 0:
+            return CyclotomicElement(p, tuple(top - a for a in rotated[:-1]))
+        return CyclotomicElement(p, tuple(a - top for a in rotated[:-1]))
+
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -236,16 +252,13 @@ def basic_poly_product(p: int, weights: tuple[int, ...], nvars: int) -> Polynomi
         zero_mono: CyclotomicElement.from_rational(p, 1)
     }
     for j in range(1, p + 1):
-        factor_scalars = [
-            (-(CyclotomicElement.eta_power(p, w * j)), i) for i, w in enumerate(weights)
-        ]
         new: dict[tuple[int, ...], CyclotomicElement] = dict(prod)
-        for (eta_coeff, i) in factor_scalars:
+        for i, w in enumerate(weights):  # the factor's term -eta^(w j) x_i
             for mono, ce in prod.items():
                 shifted = list(mono)
                 shifted[i] += 1
                 key = tuple(shifted)
-                add = ce * eta_coeff
+                add = ce.times_eta_power(w * j, -1)
                 if key in new:
                     new[key] = new[key] + add
                 else:

@@ -32,11 +32,23 @@ rational tableau reaches from the same start basis with the same column
 order (u block, v block, slacks, artificials).  The tableau holds Python
 ints whatever the rational backend; only the reported values are turned
 back into the backend's :data:`~invsp.rat.Rat`.
+
+An optimal result keeps its final tableau, and :func:`add_rows` re-optimizes
+it with further rows by the dual simplex (Chvatal, *Linear Programming*,
+1983, ch. 10) instead of solving the larger LP from scratch.  Each new row
+is a ``<=`` row (a ``>=`` row negated, an ``==`` row split in two) with its
+own slack, basic in it, and is reduced against the basic columns, so the
+old basis stays optimal for the z-row and only the new slacks may be
+negative.  Bland's rule again guards against cycling: the leaving row is
+the negative-rhs row whose basic column has the least index, and the
+entering column minimizes ``z_j / -a_rj`` over ``a_rj < 0``, ties to the
+least index.  A row with no negative entry proves the LP infeasible; the
+optimum can only fall, so the result is never unbounded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -56,11 +68,29 @@ _FLIP = {LE: GE, GE: LE, EQ: EQ}
 
 
 @dataclass
+class _Tableau:
+    """An optimal fraction-free tableau, kept for :func:`add_rows`.
+
+    Columns are u, v (x = u - v, ``n_vars`` each), then the slacks, then the
+    rhs; ``z_row`` is laid out the same.  ``objective`` is the objective as
+    given, which the reported optimum is computed from.  Never mutated.
+    """
+
+    rows: List[List[int]]
+    basis: List[int]
+    z_row: List[int]
+    n_vars: int
+    objective: List[Rat]
+
+
+@dataclass
 class LPResult:
     status: str
     objective: Optional[Rat]
     x: Optional[List[Rat]]
     pivots: int = 0  # basis changes made, drive-out pivots included
+    # the final tableau of an optimal result, which add_rows starts from
+    tableau: Optional[_Tableau] = field(default=None, compare=False, repr=False)
 
 
 def _num_den(value) -> Tuple[int, int]:
@@ -77,6 +107,15 @@ def _integer_vector(values) -> Tuple[List[int], int]:
     pairs = [_num_den(v) for v in values]
     scale = lcm(*(d for _, d in pairs))
     return [n * (scale // d) for n, d in pairs], scale
+
+
+def _scaled_row(coeffs, rel: str, rhs, n_vars: int) -> Tuple[List[int], int]:
+    """A checked constraint as ints, ``[coeffs..., rhs]``, and its scale."""
+    if len(coeffs) != n_vars:
+        raise ValueError("constraint arity does not match variable count")
+    if rel not in _FLIP:
+        raise ValueError(f"unknown relation {rel!r}")
+    return _integer_vector([*coeffs, rhs])
 
 
 def _reduce(row: List[int]) -> List[int]:
@@ -105,11 +144,7 @@ def solve_lp(
     rows: List[Tuple[List[int], int]] = []  # ([coeffs..., rhs], scale)
     rels: List[str] = []
     for coeffs, rel, rhs in constraints:
-        if len(coeffs) != n_vars:
-            raise ValueError("constraint arity does not match variable count")
-        if rel not in _FLIP:
-            raise ValueError(f"unknown relation {rel!r}")
-        row, scale = _integer_vector([*coeffs, rhs])
+        row, scale = _scaled_row(coeffs, rel, rhs, n_vars)
         if row[-1] < 0 or (row[-1] == 0 and rel == GE):
             row = [-a for a in row]
             rel = _FLIP[rel]
@@ -163,14 +198,66 @@ def solve_lp(
     pivots += phase2_pivots
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None, pivots)
+    return _optimal(_Tableau(tableau, basis, z_row, n_vars, c_orig), pivots)
 
+
+def add_rows(result: LPResult, constraints: Sequence[Constraint]) -> LPResult:
+    """Re-optimize an optimal ``result`` with the constraint rows added.
+
+    Starts from the result's final tableau and runs the dual simplex, so the
+    returned result is that of the LP with all the rows, its objective and
+    sense unchanged; ``pivots`` counts the dual pivots only.  The result
+    passed in is left as it is.  An infeasible result stays infeasible.
+    """
+    if result.status == INFEASIBLE:
+        return LPResult(INFEASIBLE, None, None)
+    tab = result.tableau
+    if tab is None:
+        raise ValueError("add_rows needs a feasible bounded result of solve_lp or add_rows")
+    n_vars = tab.n_vars
+    new_rows: List[Tuple[List[int], int]] = []  # ([coeffs..., rhs] of a <= row, scale)
+    for coeffs, rel, rhs in constraints:
+        row, scale = _scaled_row(coeffs, rel, rhs, n_vars)
+        if rel != GE:
+            new_rows.append((row, scale))
+        if rel != LE:
+            new_rows.append(([-a for a in row], scale))
+
+    width = len(tab.z_row) - 1  # the columns before the rhs
+    pad = [0] * len(new_rows)
+    tableau = [row[:-1] + pad + row[-1:] for row in tab.rows]
+    basis = list(tab.basis)
+    z_row = tab.z_row[:-1] + pad + tab.z_row[-1:]  # a new slack's z entry is 0
+    for k, (row, scale) in enumerate(new_rows):
+        coeffs = row[:-1]
+        t_row = coeffs + [-a for a in coeffs] + [0] * (width - 2 * n_vars) + pad + row[-1:]
+        t_row[width + k] = scale
+        # zero the basic columns: the basic rows have 0 in each other's
+        for b_row, b in zip(tableau, tab.basis):
+            f = t_row[b]
+            if f:
+                p = b_row[b]
+                t_row = [p * a - f * c for a, c in zip(t_row, b_row)]
+        tableau.append(_reduce(t_row))
+        basis.append(width + k)
+
+    status, pivots = _dual_loop(tableau, basis, z_row)
+    if status == INFEASIBLE:
+        return LPResult(INFEASIBLE, None, None, pivots)
+    return _optimal(_Tableau(tableau, basis, z_row, n_vars, tab.objective), pivots)
+
+
+def _optimal(tab: _Tableau, pivots: int) -> LPResult:
+    """The optimal result read off a final tableau, which it keeps."""
+    n_vars = tab.n_vars
     zero = rat(0)
-    values = [zero] * art_start  # no artificial is basic any more
-    for row, b in zip(tableau, basis):
-        values[b] = Rat(row[-1], row[b])
+    values = [zero] * (2 * n_vars)  # the u and v columns; slacks are not read
+    for row, b in zip(tab.rows, tab.basis):
+        if b < 2 * n_vars:
+            values[b] = Rat(row[-1], row[b])
     x = [values[i] - values[n_vars + i] for i in range(n_vars)]
-    objective_value = sum((ci * xi for ci, xi in zip(c_orig, x)), zero)
-    return LPResult(OPTIMAL, objective_value, x, pivots)
+    objective_value = sum((ci * xi for ci, xi in zip(tab.objective, x)), zero)
+    return LPResult(OPTIMAL, objective_value, x, pivots, tab)
 
 
 def _initial_z_row(tableau, basis, cost) -> List[int]:
@@ -215,6 +302,36 @@ def _pivot_loop(tableau, basis, z_row) -> Tuple[str, int]:
                     leave_row, best_rhs, best_a = i, row[-1], a
         if leave_row < 0:
             return UNBOUNDED, pivots
+        z_row[:] = _pivot(tableau, basis, leave_row, enter, z_row)
+        pivots += 1
+
+
+def _dual_loop(tableau, basis, z_row) -> Tuple[str, int]:
+    """Dual simplex under Bland's rule until feasible or proven infeasible.
+
+    The z-row must be dual feasible (no negative entry) and stays so; it is
+    updated in place.  Returns the status and the pivots made.
+    """
+    n_cols = len(z_row) - 1
+    pivots = 0
+    while True:
+        # leave on the negative-rhs row whose basic column has the least index
+        leave_row = -1
+        for i, row in enumerate(tableau):
+            if row[-1] < 0 and (leave_row < 0 or basis[i] < basis[leave_row]):
+                leave_row = i
+        if leave_row < 0:
+            return OPTIMAL, pivots
+        # enter on the least z_j / -a over a < 0; ties to the least index
+        row = tableau[leave_row]
+        enter = -1
+        for j in range(n_cols):
+            a = row[j]
+            if a < 0 and (enter < 0 or z_row[j] * best_a > best_z * a):
+                enter, best_z, best_a = j, z_row[j], a
+        if enter < 0:
+            return INFEASIBLE, pivots
+        tableau[leave_row] = [-a for a in row]
         z_row[:] = _pivot(tableau, basis, leave_row, enter, z_row)
         pivots += 1
 

@@ -24,9 +24,12 @@ Structure of the search, mirroring a by-hand case analysis:
 2. A region reaches the search settled: the count of its nonzero slots,
    its propagated boxes, its forced-zero slots and its open slot forms.
    Only the open forms are branched on, with an exact rational LP as the
-   feasibility oracle.  Propagation and the LP rows both use the slot
-   forms scaled to integers; the slack t of an LP row gets the slot's
-   scale, so each row is a positive multiple of the rational one.
+   feasibility oracle.  A region solves one LP from scratch, and every
+   later LP of its search is an earlier one plus rows, re-optimized from
+   that LP's final tableau by the dual simplex.  Propagation and the LP
+   rows both use the slot forms scaled to integers; the slack t of an LP
+   row gets the slot's scale, so each row is a positive multiple of the
+   rational one.
 3. Regions are settled in walk order, each against the sought values no
    earlier region has witnessed, and branches whose attainable value
    interval cannot contribute a still undecided value are pruned.
@@ -332,6 +335,15 @@ def _explore_region(
     node is counted in ``stats`` and paid from ``budget``.  The LP rows are
     the leaf's integer forms, t weighted by the slot's scale: positive
     multiples of the rational rows, so the simplex pivots as it would on them.
+
+    Only the region's first LP is solved from scratch; every other is an
+    earlier LP plus the rows decided since, re-optimized by
+    :func:`ratlp.add_rows`, and every one counts as an LP call.  On the
+    orthant each open slot's ``form >= 0`` row stays in every LP, so each
+    child LP is its parent plus rows; a point that already satisfies a
+    branch is reused, its row kept for the next LP.  In the free-sign
+    regime the zero branches chain their equalities, and a leaf branches
+    the signs of its nonzero slots from its last zero-branch LP.
     """
     support = [i for i, s in enumerate(sigma) if s != 0]
     n_vars = len(support) + 1  # support parameters plus slack t
@@ -353,8 +365,13 @@ def _explore_region(
 
     objective = lp_row((), n_vars, 1)
 
-    def zero_rows(entries):
-        return [(lp_row(items, n_vars), ratlp.EQ, -const) for items, const, _ in entries]
+    def zero_row(entry):
+        items, const, _ = entry
+        return lp_row(items, n_vars), ratlp.EQ, -const
+
+    def positive_row(entry):  # form >= scale*t
+        items, const, scale = entry
+        return lp_row(items, n_vars, -scale), ratlp.GE, -const
 
     base_rows = []
     for p in support:
@@ -366,7 +383,7 @@ def _explore_region(
             base_rows.append((lp_row(unit, n_vars), ratlp.LE, hi))
         base_rows.append((lp_row([(pos_of[p], sigma[p])], n_vars, -1), ratlp.GE, 0))
     base_rows.append((lp_row((), n_vars, 1), ratlp.LE, 1))
-    base_rows += zero_rows(forced_zero)
+    base_rows += [zero_row(entry) for entry in forced_zero]
 
     def lp(rows) -> ratlp.LPResult:
         stats.lp_calls += 1
@@ -374,22 +391,16 @@ def _explore_region(
         stats.pivots += res.pivots
         return res
 
-    def solve(zero_entries, nonzero_entries, open_entries=()):
-        """A region point where exactly the zero entries vanish, or None.
+    def add(parent, rows) -> ratlp.LPResult:
+        stats.lp_calls += 1
+        res = ratlp.add_rows(parent, rows)
+        stats.pivots += res.pivots
+        return res
 
-        On the orthant the nonzero entries must be positive and the open
-        ones nonnegative; otherwise the nonzero entries take either sign.
-        """
-        rows = base_rows + zero_rows(zero_entries)
-        forms = nonzero_entries
-        if comp.orthant:  # nonzero means positive: no sign to branch on
-            for items, const, scale in forms:
-                rows.append((lp_row(items, n_vars, -scale), ratlp.GE, -const))
-            forms = []
-        for items, const, _ in open_entries:
-            rows.append((lp_row(items, n_vars), ratlp.GE, -const))
-        x = nonzero_point(lp, rows, forms, n_vars)
-        return None if x is None else x[:-1]
+    def positive_point(res):  # the region point of an LP whose optimum t is positive
+        if res.status == ratlp.OPTIMAL and res.objective > 0:
+            return res.x[:-1]
+        return None
 
     def eval_entry(entry, point):  # the slot's value times its scale
         items, total, _ = entry
@@ -407,7 +418,10 @@ def _explore_region(
         stats.nodes += 1
         budget.spend(1)
 
-    def dfs(zeros, positives, undecided, point):
+    # ``res`` is the last LP solved on the way down and ``pending`` the rows
+    # decided since; on the orthant ``point`` satisfies both.  Every LP is
+    # ``res`` plus rows, re-optimized by the dual simplex.
+    def dfs(positives, undecided, point, res, pending):
         tick()
         lo_val = n_base + len(positives)
         hi_val = lo_val + len(undecided)
@@ -416,46 +430,51 @@ def _explore_region(
         if not undecided:
             stats.leaves += 1
             if lo_val in remaining:
-                if point is None or not comp.orthant:
-                    point = solve(zeros, positives)
+                if not comp.orthant:
+                    x = nonzero_point(lp(base_rows) if res is None else res, positives, n_vars, add)
+                    point = None if x is None else x[:-1]
                 if point is not None:
                     found[lo_val] = full_point(point)
                     remaining.discard(lo_val)
             return
         head, rest = undecided[0], undecided[1:]
 
-        # zero branch
-        if point is not None and eval_entry(head, point) == 0 and comp.orthant:
-            dfs(zeros + [head], positives, rest, point)
-        elif comp.orthant:
-            child = solve(zeros + [head], positives, rest)
-            if child is not None:
-                dfs(zeros + [head], positives, rest, child)
-        else:
-            # cheap consistency check only; exact test happens at the leaf
-            if solve(zeros + [head], []) is not None:
-                dfs(zeros + [head], positives, rest, None)
-
-        # nonzero branch
         if comp.orthant:
-            if point is not None and eval_entry(head, point) > 0:
-                dfs(zeros, positives + [head], rest, point)
-            else:
-                child = solve(zeros, positives + [head], rest)
-                if child is not None:
-                    dfs(zeros, positives + [head], rest, child)
+            # each branch keeps head's form >= 0 from the parent LP: with t > 0
+            # that row is implied, so it changes no decision
+            value = eval_entry(head, point)
+            for row, held, pos in (
+                (zero_row(head), value == 0, positives),
+                (positive_row(head), value > 0, positives + [head]),
+            ):
+                if held:
+                    dfs(pos, rest, point, res, pending + [row])
+                else:
+                    child = add(res, pending + [row])
+                    x = positive_point(child)
+                    if x is not None:
+                        dfs(pos, rest, x, child, [])
         else:
-            dfs(zeros, positives + [head], rest, None)
+            # the zero branch checks its equalities only; the leaf branches signs
+            rows = [zero_row(head)]
+            child = lp(base_rows + rows) if res is None else add(res, rows)
+            if positive_point(child) is not None:
+                dfs(positives, rest, None, child, [])
+            dfs(positives + [head], rest, None, res, [])
 
     tick()
     if comp.orthant:
-        start = solve([], [], ambiguous)
-        if start is None:
+        # each ambiguous slot's form >= 0 stays in every LP of the region
+        start = lp(base_rows + [
+            (lp_row(items, n_vars), ratlp.GE, -const) for items, const, _ in ambiguous
+        ])
+        point = positive_point(start)
+        if point is None:
             stats.regions_infeasible += 1
             return
-        dfs([], [], ambiguous, start)
+        dfs([], ambiguous, point, start, [])
     else:
-        dfs([], [], ambiguous, None)
+        dfs([], ambiguous, None, None, [])
 
 
 # -- the sign-region walk and the public sweep -----------------------------------

@@ -170,6 +170,19 @@ class TestCyclotomic:
                 total = total + CyclotomicElement.eta_power(p, j)
             assert total == CyclotomicElement.from_rational(p, -1)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_times_eta_power_matches_the_general_product(self, data):
+        p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 19]))
+        x = CyclotomicElement(p, tuple(data.draw(st.lists(
+            st.builds(rat, st.integers(-9, 9), st.integers(1, 4)), min_size=p - 1, max_size=p - 1
+        ))))
+        k = data.draw(st.integers(-3 * p, 3 * p))
+        sign = data.draw(st.sampled_from([1, -1]))
+        factor = CyclotomicElement.eta_power(p, k)
+        expected = x * (factor if sign > 0 else -factor)
+        assert x.times_eta_power(k, sign) == expected
+
     def test_power_relation(self):
         eta = CyclotomicElement.eta_power(7, 1)
         acc = CyclotomicElement.from_rational(7, 1)

@@ -215,19 +215,27 @@ class TestSweepEngineEdges:
 
     @pytest.mark.parametrize("orthant", [True, False])
     def test_stats_count_every_lp_call_and_pivot(self, orthant, monkeypatch):
-        seen = {"calls": 0, "pivots": 0}
-        solve_lp = ratlp.solve_lp
+        """Cold solves and warm re-optimizations are both LP calls."""
+        seen = {"calls": 0, "pivots": 0, "solve_lp": 0, "add_rows": 0}
 
-        def counting(*args, **kwargs):
-            res = solve_lp(*args, **kwargs)
-            seen["calls"] += 1
-            seen["pivots"] += res.pivots
-            return res
+        def counting(name):
+            solver = getattr(ratlp, name)
 
-        monkeypatch.setattr(ratlp, "solve_lp", counting)
+            def wrapped(*args, **kwargs):
+                res = solver(*args, **kwargs)
+                seen[name] += 1
+                seen["calls"] += 1
+                seen["pivots"] += res.pivots
+                return res
+
+            monkeypatch.setattr(ratlp, name, wrapped)
+
+        counting("solve_lp")
+        counting("add_rows")
         fam = build_coefficient_family(GroupSpec.scalar(2, 2), 2, "signed")
         rep = run_l0_sweep(fam, orthant=orthant)
-        assert rep.stats.lp_calls == seen["calls"] > 0
+        assert seen["solve_lp"] > 0 and seen["add_rows"] > 0
+        assert rep.stats.lp_calls == seen["calls"]
         assert rep.stats.pivots == seen["pivots"] > 0
         stats = rep.to_json_dict()["stats"]
         assert set(stats) == STATS_KEYS

@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import invsp.rat
@@ -218,6 +218,84 @@ def test_matches_reference_tableau(data):
     assert (res.status, res.objective, res.x, res.pivots) == reference_lp(
         [rat(v) for v in c], rows, n, maximize
     )
+
+
+def _added_rows(data, n, x):
+    """One to three rows to add at the vertex x.
+
+    A row is drawn at random, through x (degenerate: its slack starts at
+    0), through x with rhs 0, or cutting x off by a wide margin, which
+    often makes the LP infeasible; its relation is ``<=``, ``>=`` or ``==``.
+    """
+    rows = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        coeffs = [data.draw(rationals(3, 2)) for _ in range(n)]
+        rel = data.draw(st.sampled_from(["<=", ">=", "=="]))
+        kind = data.draw(st.sampled_from(["random", "through", "zero", "cut"]))
+        if kind == "zero":
+            i = next((i for i, v in enumerate(x) if v != 0), None)
+            if i is not None:  # make coeffs . x vanish
+                coeffs[i] = 0
+                coeffs[i] = -sum((a * v for a, v in zip(coeffs, x)), rat(0)) / x[i]
+        at_x = sum((a * v for a, v in zip(coeffs, x)), rat(0))
+        if kind == "random":
+            rhs = data.draw(rationals(4, 2))
+        elif kind == "cut":
+            rel = ">="
+            rhs = at_x + 1 + 20 * sum(abs(a) for a in coeffs)
+        else:
+            rhs = at_x
+        rows.append((coeffs, rel, rhs))
+    return rows
+
+
+class TestAddRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_a_cold_solve(self, data):
+        """Re-optimizing from the parent's tableau ends where a cold solve does."""
+        c, rows, n, maximize = _zero_rhs_lp(data, data.draw(st.booleans()))
+        parent = solve(c, rows, n, maximize)
+        assume(parent.status == ratlp.OPTIMAL)
+        added = _added_rows(data, n, parent.x)
+        split = data.draw(st.integers(0, len(added)))  # two steps re-use a warm tableau
+        res = ratlp.add_rows(parent, added[:split]) if split else parent
+        res = ratlp.add_rows(res, added[split:])
+        all_rows = rows + added
+        cold = solve(c, all_rows, n, maximize)
+        ref = reference_lp([rat(v) for v in c], all_rows, n, maximize)
+        assert (res.status, res.objective) == (cold.status, cold.objective) == ref[:2]
+        assert res.status in (ratlp.OPTIMAL, ratlp.INFEASIBLE)
+        if res.status == ratlp.OPTIMAL:
+            assert all(_satisfies(*r, res.x) for r in all_rows)
+            assert res.objective == sum((rat(a) * v for a, v in zip(c, res.x)), rat(0))
+        else:
+            assert res.x is None and res.objective is None
+
+    def test_satisfied_row_makes_no_pivot(self):
+        rows = [row([1, 0], "<=", 2), row([0, 1], "<=", 3),
+                row([1, 0], ">=", 0), row([0, 1], ">=", 0)]
+        parent = solve([1, 1], rows, 2)
+        res = ratlp.add_rows(parent, [row([1, 1], "<=", 6)])
+        assert res.status == ratlp.OPTIMAL and res.pivots == 0
+        assert res.x == parent.x == [rat(2), rat(3)] and res.objective == 5
+
+    def test_parent_is_left_as_it_is(self):
+        rows = [row([1, 0], "<=", 2), row([0, 1], "<=", 3),
+                row([1, 0], ">=", 0), row([0, 1], ">=", 0)]
+        parent = solve([1, 1], rows, 2)
+        cut = ratlp.add_rows(parent, [row([1, 1], "==", 1)])
+        assert cut.status == ratlp.OPTIMAL and cut.objective == 1 and cut.pivots > 0
+        infeasible = ratlp.add_rows(parent, [row([1, 0], ">=", 3)])
+        assert infeasible.status == ratlp.INFEASIBLE and infeasible.x is None
+        assert ratlp.add_rows(infeasible, [row([0, 1], "<=", 9)]).status == ratlp.INFEASIBLE
+        again = ratlp.add_rows(parent, [])
+        assert (again.x, again.objective, again.pivots) == ([rat(2), rat(3)], 5, 0)
+
+    def test_needs_an_optimal_parent(self):
+        unbounded = solve([1], [row([1], ">=", 0)], 1)
+        with pytest.raises(ValueError):
+            ratlp.add_rows(unbounded, [row([1], "<=", 1)])
 
 
 def _float_reference(c, rows, n, maximize):

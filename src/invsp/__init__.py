@@ -19,7 +19,6 @@ from .affinefamily import (
     pattern_feasible,
 )
 from .construct import (
-    CyclotomicElement,
     basic_poly,
     basic_poly_closed,
     basic_poly_product,
@@ -65,7 +64,6 @@ from .transform import (
 __all__ = [
     "AffineFamily",
     "AchievabilityReport",
-    "CyclotomicElement",
     "DimensionMismatchError",
     "GroupSpec",
     "L0Report",

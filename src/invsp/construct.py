@@ -6,9 +6,9 @@ Two independent routes are provided and cross-validate each other:
   binomial-coefficient formula for the weighted family with q = 2, and a
   hard-coded 17-term polynomial for gamma7;
 * the product formula: 1 minus the product over the group of
-  (1 - eta^(w1 j) x - eta^(w2 j) y - ...), expanded exactly in the ring of
-  integers extended by a primitive p-th root of unity (p prime), with a
-  final check that every cyclotomic part cancels.
+  (1 - eta^(w1 j) x - eta^(w2 j) y - ...), expanded exactly in Z[eta] for
+  eta a primitive p-th root of unity (p prime), with a final check that
+  every cyclotomic part cancels.
 
 The basic polynomial of a group is the unique invariant polynomial of
 minimal degree that equals 1 on the hyperplane, has zero constant term,
@@ -17,13 +17,11 @@ and (for these families) has nonnegative coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd, isqrt
-from typing import Tuple
 
 from .groups import GAMMA7, SCALAR, GroupSpec
 from .polycore import Polynomial
-from .rat import Rat, rat
+from .rat import rat
 
 
 def is_prime(n: int) -> bool:
@@ -35,123 +33,6 @@ def is_prime(n: int) -> bool:
         if n % f == 0:
             return False
     return True
-
-
-# -- cyclotomic integers -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CyclotomicElement:
-    """Element of Q(eta) for eta a primitive p-th root of unity, p prime.
-
-    Represented on the power basis 1, eta, ..., eta^(p-2) with the reduction
-    eta^(p-1) = -(1 + eta + ... + eta^(p-2)) applied eagerly, so the
-    representation is unique and an element is rational exactly when all
-    coefficients beyond the constant vanish.
-    """
-
-    p: int
-    coeffs: Tuple[Rat, ...]
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError("cyclotomic order must be prime")
-        if len(self.coeffs) != self.p - 1:
-            raise ValueError("coefficient vector must have length p - 1")
-
-    @staticmethod
-    def zero(p: int) -> "CyclotomicElement":
-        return CyclotomicElement(p, (rat(0),) * (p - 1))
-
-    @staticmethod
-    def from_rational(p: int, value) -> "CyclotomicElement":
-        coeffs = [rat(0)] * (p - 1)
-        coeffs[0] = rat(value)
-        return CyclotomicElement(p, tuple(coeffs))
-
-    @staticmethod
-    def eta_power(p: int, k: int) -> "CyclotomicElement":
-        """eta^k reduced to the power basis."""
-        k %= p
-        coeffs = [rat(0)] * (p - 1)
-        if k < p - 1:
-            coeffs[k] = rat(1)
-        else:
-            # eta^(p-1) = -(1 + eta + ... + eta^(p-2))
-            coeffs = [rat(-1)] * (p - 1)
-        return CyclotomicElement(p, tuple(coeffs))
-
-    def _check(self, other: "CyclotomicElement") -> None:
-        if self.p != other.p:
-            raise ValueError("cyclotomic orders differ")
-
-    def __add__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check(other)
-        return CyclotomicElement(
-            self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check(other)
-        return CyclotomicElement(
-            self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "CyclotomicElement":
-        return CyclotomicElement(self.p, tuple(-a for a in self.coeffs))
-
-    def scale(self, factor) -> "CyclotomicElement":
-        c = rat(factor)
-        return CyclotomicElement(self.p, tuple(a * c for a in self.coeffs))
-
-    def __mul__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check(other)
-        p = self.p
-        n = p - 1
-        raw = [rat(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                raw[i + j] += a * b
-        # reduce degrees >= p - 1 downward via eta^(p-1) = -(1 + ... + eta^(p-2))
-        for k in range(2 * n - 2, n - 1, -1):
-            c = raw[k]
-            if c == 0:
-                continue
-            raw[k] = rat(0)
-            for i in range(n):
-                raw[k - p + 1 + i] -= c
-        return CyclotomicElement(p, tuple(raw[:n]))
-
-    def times_eta_power(self, k: int, sign: int = 1) -> "CyclotomicElement":
-        """self * (sign * eta^k), for sign +1 or -1, without a general product.
-
-        On the basis 1, eta, ..., eta^(p-1) multiplying by eta^k rotates the
-        coefficients by k places; the reduction of eta^(p-1) then subtracts
-        its coefficient from every other.
-        """
-        p = self.p
-        k %= p
-        full = self.coeffs + (rat(0),)
-        rotated = full[p - k:] + full[:p - k]  # rotated[(i + k) % p] = full[i]
-        top = rotated[-1]
-        if sign < 0:
-            return CyclotomicElement(p, tuple(top - a for a in rotated[:-1]))
-        return CyclotomicElement(p, tuple(a - top for a in rotated[:-1]))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Rat:
-        if not self.is_rational():
-            raise ValueError(f"element {self.coeffs} is not rational")
-        return self.coeffs[0]
 
 
 # -- weighted-family closed form -----------------------------------------------
@@ -235,8 +116,8 @@ def basic_poly_closed(g: GroupSpec) -> Polynomial:
 def basic_poly_product(p: int, weights: tuple[int, ...], nvars: int) -> Polynomial:
     """Basic polynomial via the product over the group, for prime order p.
 
-    Expands 1 - prod_{j=1..p} (1 - sum_i eta^(w_i j) x_i) with exact
-    cyclotomic coefficients and checks that the result is rational.  The
+    Expands 1 - prod_{j=1..p} (1 - sum_i eta^(w_i j) x_i) with int
+    coefficients in Z[eta] and checks that the result is rational.  The
     result is invariant, vanishes at the origin, and equals 1 on the
     hyperplane.
     """
@@ -247,32 +128,39 @@ def basic_poly_product(p: int, weights: tuple[int, ...], nvars: int) -> Polynomi
     if any(w % p == 0 or gcd(w % p, p) != 1 for w in weights):
         raise ValueError("weights must be coprime to the order")
 
+    # Each coefficient lies in Z[eta], held as p ints over 1, eta, ...,
+    # eta^(p-1).  The only relation is 1 + eta + ... + eta^(p-1) = 0, so a
+    # coefficient is zero when its entries are all equal and rational when
+    # entries 1..p-1 are; subtracting the eta^(p-1) entry from all keeps
+    # the representation unique.
     zero_mono = (0,) * nvars
-    prod: dict[tuple[int, ...], CyclotomicElement] = {
-        zero_mono: CyclotomicElement.from_rational(p, 1)
-    }
+    prod = {zero_mono: (1,) + (0,) * (p - 1)}
     for j in range(1, p + 1):
-        new: dict[tuple[int, ...], CyclotomicElement] = dict(prod)
+        new = dict(prod)
         for i, w in enumerate(weights):  # the factor's term -eta^(w j) x_i
-            for mono, ce in prod.items():
-                shifted = list(mono)
-                shifted[i] += 1
-                key = tuple(shifted)
-                add = ce.times_eta_power(w * j, -1)
-                if key in new:
-                    new[key] = new[key] + add
+            cut = p - (w * j) % p
+            for mono, c in prod.items():
+                key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                rotated = c[cut:] + c[:cut]  # times eta^(w j)
+                old = new.get(key)
+                if old is None:
+                    new[key] = tuple(-a for a in rotated)
                 else:
-                    new[key] = add
-        prod = {m: c for m, c in new.items() if not c.is_zero()}
+                    new[key] = tuple(a - b for a, b in zip(old, rotated))
+        prod = {}
+        for mono, c in new.items():
+            top = c[-1]
+            if any(a != top for a in c):
+                prod[mono] = tuple(a - top for a in c)
 
     terms = {}
-    for mono, ce in prod.items():
-        if not ce.is_rational():
+    for mono, c in prod.items():
+        if any(c[1:]):
             raise ArithmeticError(
-                f"nonrational coefficient at {mono}: {ce.coeffs}; "
+                f"nonrational coefficient at {mono}: {c}; "
                 "internal consistency failure in the product construction"
             )
-        value = -ce.rational_value()
+        value = -c[0]
         if mono == zero_mono:
             value += 1
         if value != 0:
@@ -288,9 +176,5 @@ def basic_poly(g: GroupSpec, method: str = "closed") -> Polynomial:
     if method == "closed":
         return basic_poly_closed(g)
     if method == "product":
-        if g.family == SCALAR and g.nvars == 1:
-            if not is_prime(g.order):
-                raise ValueError("product construction requires prime order")
-            return basic_poly_product(g.order, (1,), 1)
         return basic_poly_product(g.order, g.weights, g.nvars)
     raise ValueError(f"unknown method {method!r}")

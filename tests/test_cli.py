@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import invsp
-from invsp.cli import main
+import invsp.cli
+from invsp.cli import UsageError, main
 from invsp.polycore import Polynomial
 
 
@@ -44,6 +46,16 @@ class TestBasicPoly:
     def test_unknown_flag_rejected(self, capsys):
         code, _, _ = run(capsys, "basic-poly", "--group", "gamma7", "--frobnicate")
         assert code == 2
+
+
+@pytest.mark.parametrize("exc", [UsageError("bad input"), ValueError("bad value"), KeyError("k")])
+def test_command_errors_exit_with_usage_code(capsys, monkeypatch, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(invsp.cli, "cmd_basic_poly", fail)
+    code, out, err = run(capsys, "basic-poly", "--group", "gamma7")
+    assert code == 2 and out == "" and err == f"error: {exc}\n"
 
 
 class TestTensorValidate:
@@ -271,6 +283,14 @@ def test_verify_paper_ledger(capsys):
     lines = [l for l in out.splitlines() if "PASS" in l or "FAIL" in l]
     assert len(lines) >= 40
     assert all("FAIL" not in l for l in lines)
+
+
+def test_verify_paper_json_matches_pinned_ledger(capsys):
+    """The whole 67-check ledger, details included, is pinned byte for byte."""
+    pinned = (Path(__file__).parent / "fixtures" / "verify_paper.json").read_text()
+    code, out, _ = run(capsys, "verify-paper", "--format", "json")
+    assert code == 0
+    assert out == pinned
 
 
 def test_verify_paper_budget_reaches_every_sweep(capsys):

@@ -428,6 +428,22 @@ def lp_row(items, n: int, t_coeff=0) -> list:
     return coeffs
 
 
+def form_row(items, const, n: int, rel: str, scale=0) -> ratlp.Constraint:
+    """The row ``const + sum w*x_col  rel  scale*t`` over :func:`lp_row`'s columns.
+
+    ``EQ`` makes the form vanish, ``GE`` keeps it nonnegative (scale 0) or
+    strictly positive while t > 0 (scale > 0); negate it for the other sign.
+    """
+    return lp_row(items, n, -scale), rel, -const
+
+
+def bound_rows(col: int, lo, hi, n: int) -> List[ratlp.Constraint]:
+    """The rows ``x_col >= lo`` and ``x_col <= hi``, for each bound not None."""
+    unit = [0] * n
+    unit[col] = 1
+    return [(unit, rel, b) for b, rel in ((lo, ratlp.GE), (hi, ratlp.LE)) if b is not None]
+
+
 def nonzero_point(base, forms, n: int, add=ratlp.add_rows) -> Optional[List[Rat]]:
     """A point with slack t > 0 where every form is nonzero, or None.
 
@@ -448,8 +464,8 @@ def nonzero_point(base, forms, n: int, add=ratlp.add_rows) -> Optional[List[Rat]
         if k == len(forms):
             return res.x
         items, const, scale = forms[k]
-        plus = (lp_row(items, n, -scale), ratlp.GE, -const)
-        minus = (lp_row([(c, -w) for c, w in items], n, -scale), ratlp.GE, const)
+        plus = form_row(items, const, n, ratlp.GE, scale)
+        minus = form_row([(c, -w) for c, w in items], -const, n, ratlp.GE, scale)
         for row in (plus, minus):
             hit = rec(k + 1, add(res, [row]))
             if hit is not None:
@@ -484,14 +500,9 @@ def pattern_feasible(
 
     base_rows = []
     for i, p in enumerate(fam.params):
-        lo = p.effective_lo(orthant)
-        if lo is not None:
-            base_rows.append((lp_row([(i, 1)], n), ratlp.GE, lo))
-        if p.hi is not None:
-            base_rows.append((lp_row([(i, 1)], n), ratlp.LE, p.hi))
-    base_rows.append((lp_row((), n, 1), ratlp.LE, 1))
-    for i in zset:
-        base_rows.append((lp_row(items(i), n), ratlp.EQ, -fam.slots[i].form.const))
+        base_rows += bound_rows(i, p.effective_lo(orthant), p.hi, n)
+    base_rows += bound_rows(n - 1, None, 1, n)  # t <= 1
+    base_rows += [form_row(items(i), fam.slots[i].form.const, n, ratlp.EQ) for i in zset]
 
     forms = [
         (items(i), fam.slots[i].form.const, 1)
@@ -499,7 +510,7 @@ def pattern_feasible(
         if i not in zset
     ]
     if orthant:  # every other slot strictly positive: a single LP
-        base_rows += [(lp_row(it, n, -1), ratlp.GE, -const) for it, const, _ in forms]
+        base_rows += [form_row(it, const, n, ratlp.GE, scale) for it, const, scale in forms]
         forms = []
     x = nonzero_point(ratlp.solve_lp(objective, base_rows, n), forms, n)
     if x is None:

@@ -194,8 +194,10 @@ def _parse_targets(text: str):
         if not chunk:
             continue
         if "-" in chunk[1:]:
-            a, b = chunk.split("-", 1)
-            out.extend(range(int(a), int(b) + 1))
+            a, b = (int(end) for end in chunk.split("-", 1))
+            if a > b:
+                raise UsageError(f"reversed target range {chunk}")
+            out.extend(range(a, b + 1))
         else:
             out.append(int(chunk))
     if not out:
@@ -257,11 +259,13 @@ def cmd_gaps(args) -> int:
 def cmd_closure(args) -> int:
     data = _load_json_file(args.base)
     try:
-        base = {
-            int(entry["n"]): Polynomial.from_json_dict(entry["poly"]) for entry in data
-        }
+        entries = [(int(entry["n"]), Polynomial.from_json_dict(entry["poly"])) for entry in data]
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad closure base: {exc}")
+    for i, (n, poly) in enumerate(entries):
+        if poly.term_count() != n:
+            raise UsageError(f"bad closure base: entry {i} has n={n} but {poly.term_count()} terms")
+    base = dict(entries)
     closed = gapsearch.frobenius_closure(base, args.bound)
     t_min = min(base)
     frontier = gapsearch.closure_frontier(closed, t_min)
@@ -394,9 +398,7 @@ def _ledger_checks(budget: int, closure_bound: Optional[int]):
     add("gap-theorem-dim1-m3", rep.all_passed, "every positive count achievable")
 
     rep = gapsearch.verify_gap_theorem(gamma, budget=budget, closure_bound=closure_bound)
-    for c in rep.checks:
-        add(f"gamma7-{c.name}" if not c.name.startswith("gamma7") else c.name,
-            c.passed, c.detail)
+    checks += rep.checks
     add(
         "gamma7-undecided-triple",
         rep.undecided == [31, 35, 36],

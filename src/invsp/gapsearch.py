@@ -12,9 +12,14 @@ over special polynomials G, by combining three mechanisms:
   s + t - 1 by a tensor step on a highest-degree monomial, so all values
   above a frontier are achievable once a long enough run exists.
 
-Degree estimates convert bounded-degree absence certificates into
-unconditional gap statements: a value N can only be attained in degree at
-most d(N), so a sweep covering degree d(N) settles N outright.
+Each gap theorem runs on one skeleton: sweeps that must be exhaustive and
+attain exactly the expected values, a validated base of witnesses, and its
+closure above a frontier.  Gaps come only from the certified absences of
+sweeps that ran to completion, so an inconclusive sweep reports none; a
+value below the frontier that is neither witnessed nor a gap is undecided.
+Degree estimates convert bounded-degree absences into unconditional gaps:
+N can only be attained in degree at most d(N), so a sweep covering degree
+d(N) settles N outright.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .affinefamily import build_coefficient_family, instantiate
-from .construct import basic_poly_closed
+from .construct import basic_poly_closed, coefficient_c
 from .groups import GAMMA7, SCALAR, WEIGHTED, GroupSpec
 from .polycore import Polynomial
 from .rat import rat
@@ -460,21 +465,50 @@ def _validated(g: GroupSpec, value: int, G: Polynomial) -> Polynomial:
     return G
 
 
-def _closure_with_checks(
-    g: GroupSpec, base: Dict[int, Polynomial], bound: int, checks: List[CheckResult]
-) -> Dict[int, Polynomial]:
+def _sweep_check(g, checks, name, detail, degree, sign_mode, expected, budget, **sweep_args):
+    """Sweep to ``degree``; check the sweep is exhaustive and attains exactly ``expected``."""
+    rep = achievable_set(g, degree, sign_mode, budget=budget, **sweep_args)
+    ok = rep.exhaustive and sorted(rep.achievable) == sorted(expected)
+    checks.append(CheckResult(name, ok, detail))
+    return rep
+
+
+def _closure_tail(g, label, base, bound, start, absent, exhaustive, checks) -> GapTheoremReport:
+    """Close the base up to ``bound`` and check that every N from ``start`` on is reached.
+
+    Each base witness is validated here, once; the closure check validates
+    only the values the closure adds.  The gaps are the values in ``absent``
+    (certified absent by a sweep) that nothing witnesses: N(F) is absent
+    from a sweep that skips H = 0.  ``undecided`` is every value below the
+    frontier that is neither reached nor a gap.
+    """
+    for value, G in base.items():
+        _validated(g, value, G)
     closed = frobenius_closure(base, bound)
-    bad = [value for value, G in closed.items() if not _witness_check(g, value, G)[0]]
+    bad = sorted(v for v, G in closed.items() if v not in base and not _witness_check(g, v, G)[0])
     checks.append(
         CheckResult(
-            "closure-witnesses-validate",
+            f"{label}-closure-witnesses-validate",
             not bad,
-            f"all {len(closed)} closure witnesses special with exact N"
-            if not bad
-            else f"invalid witnesses at {sorted(bad)[:5]}",
+            f"invalid witnesses at {bad[:5]}"
+            if bad
+            else f"all {len(closed)} closure witnesses special with exact N",
         )
     )
-    return closed
+    frontier = closure_frontier(closed, min(base))
+    below = ", ".join(str(v) for v in sorted(closed) if v < start)
+    checks.append(
+        CheckResult(
+            f"{label}-frontier",
+            frontier == start and all(v in closed for v in range(start, bound + 1)),
+            f"every N in [{start}, {bound}] achievable; "
+            f"below {start} exactly {{{below}}} are witnessed",
+        )
+    )
+    gaps = [v for v in absent if v not in closed]
+    top = bound + 1 if frontier is None else frontier
+    undecided = [v for v in range(1, top) if v not in closed and v not in gaps]
+    return GapTheoremReport(g, checks, closed, gaps, undecided, frontier, exhaustive)
 
 
 def verify_gap_theorem(
@@ -483,70 +517,44 @@ def verify_gap_theorem(
     closure_bound: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> GapTheoremReport:
-    """Certify the achievable set and gaps of the group at desk scale."""
+    """Certify the achievable set, gaps and undecided values of the group at desk scale."""
     checks: List[CheckResult] = []
-    F = basic_poly_closed(g)
-    nf = F.term_count()
-
-    if g.family == SCALAR and g.nvars == 1:
-        m = g.order
-        achievable: Dict[int, Polynomial] = {}
-        ok = True
-        for d in range(1, N1_LIMIT + 1):
-            terms = {(m * j,): rat(1, d) for j in range(1, d + 1)}
-            p = Polynomial(1, terms)
-            if not _witness_check(g, d, p)[0]:
-                ok = False
-                break
-            achievable[d] = p
-        checks.append(
-            CheckResult(
-                "dim1-every-count-achievable",
-                ok,
-                f"direct constructions for every N in [1, {N1_LIMIT}]",
-            )
-        )
-        return GapTheoremReport(g, checks, achievable, [], [], 1, True)
-
     if g.family == WEIGHTED:
-        return _verify_weighted(g, F, nf, closure_bound, budget, checks)
-    if g.family == SCALAR and g.nvars == 2:
-        return _verify_scalar2(g, F, nf, closure_bound, budget, checks)
-    return _verify_gamma7(g, F, nf, closure_bound, budget, checks)
+        verify = _verify_weighted
+    elif g.family == SCALAR and g.nvars == 1:
+        verify = _verify_scalar1
+    elif g.family == SCALAR and g.nvars == 2:
+        verify = _verify_scalar2
+    else:
+        verify = _verify_gamma7
+    return verify(g, basic_poly_closed(g), closure_bound, budget, checks)
 
 
-def _verify_weighted(g, F, nf, closure_bound, budget, checks):
+def _verify_scalar1(g, F, closure_bound, budget, checks):
+    # F = x^m has one term, and the closure of {1} is every count
+    bound = closure_bound if closure_bound is not None else N1_LIMIT
+    return _closure_tail(g, "dim1", {1: F}, bound, 1, [], True, checks)
+
+
+def _verify_weighted(g, F, closure_bound, budget, checks):
     p = g.order
     r = (p - 1) // 2
     if g.weights[1] != 2:
         raise ValueError("gap verification applies to the weighted family with q=2")
     bound = closure_bound if closure_bound is not None else 10 * (r + 2)
-    deg_cap = 4 * r + 1  # covers every G with at most 2r+2 terms
-
-    sweep = achievable_set(
-        g,
-        deg_cap,
-        "signed",
-        targets=range(1, 2 * r + 3),
-        skip_all_zero=True,
-        budget=budget,
-    )
-    gap_values = [v for v in range(1, 2 * r + 3) if v != r + 2]
-    checks.append(
-        CheckResult(
-            "weighted-low-range-gaps",
-            sweep.exhaustive and not sweep.achievable,
-            f"no special polynomial with 1 <= N <= {2*r+2} besides H=0",
-        )
+    # degree 4r + 1 covers every G with at most 2r + 2 terms
+    sweep = _sweep_check(
+        g, checks, "weighted-low-range-gaps",
+        f"no special polynomial with 1 <= N <= {2*r+2} besides H=0",
+        4 * r + 1, "signed", (), budget,
+        targets=range(1, 2 * r + 3), skip_all_zero=True,
     )
 
-    achievable: Dict[int, Polynomial] = {nf: F}
+    base = {F.term_count(): F}
     # A run of k consecutive middle terms, f of them at their full
     # coefficient and the rest scaled into the interior, eliminates f old
     # terms and creates r + 2k new ones: N = (2r + 2k + 2) - f.  Over
     # k <= r, f <= k this covers every value in [2r+3, 4r+2].
-    from .construct import coefficient_c
-
     for k in range(1, r + 1):
         for f in range(0, k + 1):
             terms = {}
@@ -554,171 +562,89 @@ def _verify_weighted(g, F, nf, closure_bound, budget, checks):
                 c = rat(coefficient_c(r, j))
                 terms[(p - 2 * j, j)] = c if j <= f else c * LAMBDA_FIXTURE
             value = 2 * r + 2 * k + 2 - f
-            if value not in achievable:
-                achievable[value] = _validated(g, value, tensor_step(F, Polynomial(2, terms)))
-    base_ok = all(v in achievable for v in range(2 * r + 3, 4 * r + 3))
-    checks.append(
-        CheckResult(
-            "weighted-base-witnesses",
-            base_ok,
-            f"explicit witnesses for N = {r+2} and every N in [{2*r+3}, {4*r+2}]",
-        )
-    )
-
-    closed = _closure_with_checks(g, achievable, bound, checks)
-    frontier = closure_frontier(closed, nf)
-    checks.append(
-        CheckResult(
-            "weighted-frontier",
-            frontier == 2 * r + 3 and all(v in closed for v in range(2 * r + 3, bound + 1)),
-            f"every N in [{2*r+3}, {bound}] achievable",
-        )
-    )
-    return GapTheoremReport(
-        g, checks, closed, gap_values, [], frontier, sweep.exhaustive
+            if value not in base:
+                base[value] = tensor_step(F, Polynomial(2, terms))
+    base_ok = all(v in base for v in range(2 * r + 3, 4 * r + 3))
+    detail = f"explicit witnesses for N = {r+2} and every N in [{2*r+3}, {4*r+2}]"
+    checks.append(CheckResult("weighted-base-witnesses", base_ok, detail))
+    return _closure_tail(
+        g, "weighted", base, bound, 2 * r + 3, sweep.proven_gaps, sweep.exhaustive, checks
     )
 
 
-def _verify_scalar2(g, F, nf, closure_bound, budget, checks):
+def _verify_scalar2(g, F, closure_bound, budget, checks):
     m = g.order
     bound = closure_bound if closure_bound is not None else 10 * (m + 1)
     # Any G with N <= 2m has degree <= 4m - 3, hence degree in {m, 2m, 3m}.
-    sweep = achievable_set(
-        g,
-        3 * m,
-        "nonneg",
-        targets=range(1, 2 * m + 1),
-        skip_all_zero=True,
-        budget=budget,
+    sweep = _sweep_check(
+        g, checks, "dim2-low-range-gaps",
+        f"with nonnegative H no N in [1, {2*m}] beyond H=0 (which gives {m+1})",
+        3 * m, "nonneg", (), budget,
+        targets=range(1, 2 * m + 1), skip_all_zero=True,
     )
-    checks.append(
-        CheckResult(
-            "dim2-low-range-gaps",
-            sweep.exhaustive and not sweep.achievable,
-            f"with nonnegative H no N in [1, {2*m}] beyond H=0 (which gives {m+1})",
-        )
-    )
-    gap_values = [v for v in range(1, 2 * m + 1) if v != m + 1]
 
-    achievable: Dict[int, Polynomial] = {nf: F}
-    xs = Polynomial.monomial(2, (m, 0))
-    achievable[2 * m + 1] = _validated(g, 2 * m + 1, tensor_step(F, xs))
+    base = {F.term_count(): F, 2 * m + 1: tensor_step(F, Polynomial.monomial(2, (m, 0)))}
     f_terms = list(F.iter_terms())
     for k in range(1, m + 2):
         H = Polynomial(2, {mono: c * LAMBDA_FIXTURE for mono, c in f_terms[:k]})
-        value = m + 1 + m + k
-        achievable[value] = _validated(g, value, tensor_step(F, H))
-    closed = _closure_with_checks(g, achievable, bound, checks)
-    frontier = closure_frontier(closed, nf)
-    checks.append(
-        CheckResult(
-            "dim2-frontier",
-            frontier == 2 * m + 1
-            and all(v in closed for v in range(2 * m + 1, bound + 1)),
-            f"every N in [{2*m+1}, {bound}] achievable",
-        )
+        base[m + 1 + m + k] = tensor_step(F, H)
+    return _closure_tail(
+        g, "dim2", base, bound, 2 * m + 1, sweep.proven_gaps, sweep.exhaustive, checks
     )
-    return GapTheoremReport(g, checks, closed, gap_values, [], frontier, sweep.exhaustive)
 
 
-def _verify_gamma7(g, F, nf, closure_bound, budget, checks):
+# The gamma7 sweeps of degree 10 to 13, in order: (check name, detail, degree,
+# sought values or None for all, exact H degree or None, the values attained).
+GAMMA7_SWEEPS = [
+    ("gamma7-degree10-set", "degree-10 family attains exactly {17, 29, 30}",
+     10, None, None, (17, 29, 30)),
+    ("gamma7-degree11-floor", "degree exactly 11 forces at least 31 terms",
+     11, range(1, 31), 4, ()),
+    ("gamma7-degree12-floor", "degree exactly 12 forces at least 33 terms",
+     12, range(1, 33), 5, ()),
+    ("gamma7-degree13-floor",
+     "across degree <= 13 only N=17 (from H=0) occurs at or below 28; "
+     "31, 35, 36 do not occur at degree <= 13 either",
+     13, sorted(set(range(1, 29)) | {31, 35, 36}), None, (17,)),
+]
+
+
+def _verify_gamma7(g, F, closure_bound, budget, checks):
     bound = closure_bound if closure_bound is not None else 120
-    exhaustive = True
-
     # degree <= 9: no room for a nonzero H
-    fam9 = build_coefficient_family(g, 2, "signed")
     checks.append(
         CheckResult(
             "gamma7-degree9-rigid",
-            not fam9.params,
+            not build_coefficient_family(g, 2, "signed").params,
             "no invariant monomial of degree <= 2, so only H = 0 below degree 10",
         )
     )
-
-    # degree 10: exactly {17, 29, 30}
-    rep10 = achievable_set(g, 10, "signed", budget=budget)
-    ok10 = rep10.exhaustive and sorted(rep10.achievable) == [17, 29, 30]
-    exhaustive &= rep10.exhaustive
-    checks.append(
-        CheckResult("gamma7-degree10-set", ok10, "degree-10 family attains exactly {17, 29, 30}")
-    )
-
-    # degree 11, nonzero H of top degree: nothing at or below 30
-    rep11 = achievable_set(
-        g, 11, "signed", targets=range(1, 31), h_degree_exact=4, budget=budget
-    )
-    exhaustive &= rep11.exhaustive
-    checks.append(
-        CheckResult(
-            "gamma7-degree11-floor",
-            rep11.exhaustive and not rep11.achievable,
-            "degree exactly 11 forces at least 31 terms",
+    sweeps = [
+        _sweep_check(
+            g, checks, name, detail, degree, "signed", attained, budget,
+            targets=targets, h_degree_exact=h_exact,
         )
-    )
-
-    # degree 12: nothing at or below 32 for top-degree H
-    rep12 = achievable_set(
-        g, 12, "signed", targets=range(1, 33), h_degree_exact=5, budget=budget
-    )
-    exhaustive &= rep12.exhaustive
-    checks.append(
-        CheckResult(
-            "gamma7-degree12-floor",
-            rep12.exhaustive and not rep12.achievable,
-            "degree exactly 12 forces at least 33 terms",
-        )
-    )
-
-    # degree <= 13: the decisive sweep
-    sought13 = sorted(set(range(1, 29)) | {31, 35, 36})
-    rep13 = achievable_set(g, 13, "signed", targets=sought13, budget=budget)
-    exhaustive &= rep13.exhaustive
-    ok13 = rep13.exhaustive and sorted(rep13.achievable) == [17]
-    checks.append(
-        CheckResult(
-            "gamma7-degree13-floor",
-            ok13,
-            "across degree <= 13 only N=17 (from H=0) occurs at or below 28; "
-            "31, 35, 36 do not occur at degree <= 13 either",
-        )
-    )
-
-    # unconditional gaps: any N <= 28 forces degree <= 13
-    cov = all(degree_bound(3, v) <= 13 for v in range(1, 29))
+        for name, detail, degree, targets, h_exact, attained in GAMMA7_SWEEPS
+    ]
+    # a value absent to degree 13 is a gap when no larger degree can attain it
+    absent = [v for v in sweeps[-1].proven_gaps if degree_bound(3, v) <= 13]
     checks.append(
         CheckResult(
             "gamma7-gap-scope",
-            cov,
+            all(degree_bound(3, v) <= 13 for v in range(1, 29)),
             "degree estimate: N <= 28 implies degree <= 13, so [1,16] and [18,28] are gaps",
         )
     )
-    gaps = [v for v in range(1, 29) if v != 17]
-    undecided = [31, 35, 36]
-    scope31 = degree_bound(3, 36)
     checks.append(
         CheckResult(
             "gamma7-undecided-scope",
-            scope31 == 17,
+            degree_bound(3, 36) == 17,
             "N in {31, 35, 36} could live in degree up to 17; degree-13 absence is not final",
         )
     )
-
-    achievable: Dict[int, Polynomial] = {}
-    for name, h_terms, expected_n in GAMMA7_CATALOG:
-        H = catalog_h(h_terms, 3)
-        G = _validated(g, expected_n, tensor_step(F, H))
-        achievable.setdefault(expected_n, G)
-    closed = _closure_with_checks(g, achievable, bound, checks)
-    frontier = closure_frontier(closed, nf)
-    checks.append(
-        CheckResult(
-            "gamma7-frontier",
-            frontier == 37 and all(v in closed for v in range(37, bound + 1)),
-            f"every N in [37, {bound}] achievable; below 37 exactly "
-            "{17, 29, 30, 32, 33, 34} are witnessed",
-        )
-    )
-    return GapTheoremReport(g, checks, closed, gaps, undecided, frontier, exhaustive)
+    base = {n: tensor_step(F, catalog_h(h_terms, 3)) for _, h_terms, n in GAMMA7_CATALOG}
+    exhaustive = all(rep.exhaustive for rep in sweeps)
+    return _closure_tail(g, "gamma7", base, bound, 37, absent, exhaustive, checks)
 
 
 # -- targeted search ---------------------------------------------------------------

@@ -62,7 +62,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import ratlp
-from .affinefamily import AffineFamily, lp_row, nonzero_point
+from .affinefamily import AffineFamily, bound_rows, form_row, lp_row, nonzero_point
 from .rat import Rat, rat
 
 DEFAULT_BUDGET = 200_000
@@ -367,22 +367,19 @@ def _explore_region(
 
     def zero_row(entry):
         items, const, _ = entry
-        return lp_row(items, n_vars), ratlp.EQ, -const
+        return form_row(items, const, n_vars, ratlp.EQ)
 
     def positive_row(entry):  # form >= scale*t
         items, const, scale = entry
-        return lp_row(items, n_vars, -scale), ratlp.GE, -const
+        return form_row(items, const, n_vars, ratlp.GE, scale)
 
     base_rows = []
     for p in support:
         lo, hi, _, _ = leaf.tight[p]
-        unit = [(pos_of[p], 1)]
-        if lo is not None:
-            base_rows.append((lp_row(unit, n_vars), ratlp.GE, lo))
-        if hi is not None:
-            base_rows.append((lp_row(unit, n_vars), ratlp.LE, hi))
-        base_rows.append((lp_row([(pos_of[p], sigma[p])], n_vars, -1), ratlp.GE, 0))
-    base_rows.append((lp_row((), n_vars, 1), ratlp.LE, 1))
+        base_rows += bound_rows(pos_of[p], lo, hi, n_vars)
+        # the region's sign of p: sigma_p * x_p >= t
+        base_rows.append(form_row([(pos_of[p], sigma[p])], 0, n_vars, ratlp.GE, 1))
+    base_rows += bound_rows(n_vars - 1, None, 1, n_vars)  # t <= 1
     base_rows += [zero_row(entry) for entry in forced_zero]
 
     def lp(rows) -> ratlp.LPResult:
@@ -466,7 +463,7 @@ def _explore_region(
     if comp.orthant:
         # each ambiguous slot's form >= 0 stays in every LP of the region
         start = lp(base_rows + [
-            (lp_row(items, n_vars), ratlp.GE, -const) for items, const, _ in ambiguous
+            form_row(items, const, n_vars, ratlp.GE) for items, const, _ in ambiguous
         ])
         point = positive_point(start)
         if point is None:

@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invsp import ratlp
 from invsp.affinefamily import (
     AffineFamily,
     LinearForm,
+    bound_rows,
     build_coefficient_family,
     cross_check_instantiate,
+    form_row,
     instantiate,
     pattern_feasible,
 )
@@ -154,6 +157,16 @@ class TestInstantiate:
         assert clone.symmetry == fam.symmetry
         point = {name: rat(1, 3) for name in fam.param_names}
         assert instantiate(clone, point) == instantiate(fam, point)
+
+
+def test_lp_row_builders():
+    """Forms and bounds become rows over the parameter columns plus the slack t."""
+    assert form_row([(0, 2)], 3, 3, ratlp.EQ) == ([2, 0, 0], ratlp.EQ, -3)
+    assert form_row([(0, 2)], 3, 3, ratlp.GE) == ([2, 0, 0], ratlp.GE, -3)
+    assert form_row([(1, -1)], rat(1, 2), 3, ratlp.GE, 2) == ([0, -1, -2], ratlp.GE, rat(-1, 2))
+    assert bound_rows(0, -1, 4, 3) == [([1, 0, 0], ratlp.GE, -1), ([1, 0, 0], ratlp.LE, 4)]
+    assert bound_rows(2, None, 1, 3) == [([0, 0, 1], ratlp.LE, 1)]
+    assert bound_rows(1, None, None, 3) == []
 
 
 class TestPatternFeasible:

@@ -249,6 +249,17 @@ class TestGaps:
         assert code == 2 and out == ""
         assert "--h-degree-exact" in err and "--value-cap" in err
 
+    def test_reversed_target_range_is_a_usage_error(self, capsys, monkeypatch):
+        swept = []
+        monkeypatch.setattr(invsp.gapsearch, "achievable_set",
+                            lambda *args, **kwargs: swept.append(args))
+        code, out, err = run(
+            capsys,
+            "gaps", "--group", "gamma7", "--max-degree", "10", "--targets", "29,35-31",
+        )
+        assert code == 2 and out == "" and "reversed target range 35-31" in err
+        assert swept == []
+
     def test_target_without_degree_estimate_is_rejected_before_the_sweep(
         self, capsys, monkeypatch
     ):
@@ -276,6 +287,17 @@ class TestClosureCommand:
         data = json.loads(out)
         assert {17, 33, 34, 49, 50, 51}.issubset(set(data["values"]))
 
+    def test_entry_whose_polynomial_has_another_term_count_is_rejected(
+        self, capsys, tmp_path
+    ):
+        """x^2 + 2xy + y^2 has 3 terms, so an entry claiming n = 5 is bad input."""
+        square = Polynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+        base_file = tmp_path / "base.json"
+        base_file.write_text(json.dumps([{"n": 5, "poly": square.to_json_dict()}]))
+        code, out, err = run(capsys, "closure", "--base", str(base_file), "--bound", "10")
+        assert code == 2 and out == ""
+        assert "entry 0 has n=5 but 3 terms" in err
+
 
 def test_verify_paper_ledger(capsys):
     code, out, _ = run(capsys, "verify-paper")
@@ -299,6 +321,8 @@ def test_verify_paper_budget_reaches_every_sweep(capsys):
     passed = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
     assert passed["sparse-map-unconstrained"] is False
     assert passed["sparse-map-orthant"] is False
+    # an inconclusive sweep proves no gap, so the triple is not the only undecided set
+    assert passed["gamma7-undecided-triple"] is False
 
 
 @pytest.mark.parametrize(

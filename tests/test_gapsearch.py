@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from invsp import ratlp, sweep
+from invsp import gapsearch, ratlp, sweep
 from invsp.affinefamily import AffineFamily, build_coefficient_family, cross_check_instantiate
 from invsp.construct import basic_poly_closed
 from invsp.gapsearch import (
@@ -169,6 +169,7 @@ class TestGapTheorems:
         assert sorted(rep.achievable) == list(range(1, N1_LIMIT + 1))
 
     def test_gamma7(self):
+        """The undecided triple is derived: below the frontier, neither reached nor a gap."""
         rep = verify_gap_theorem(G7)
         assert rep.all_passed and rep.exhaustive
         assert rep.undecided == [31, 35, 36]
@@ -176,6 +177,20 @@ class TestGapTheorems:
         assert rep.gaps == [v for v in range(1, 29) if v != 17]
         below = {v for v in rep.achievable if v < 37}
         assert below == {17, 29, 30, 32, 33, 34}
+
+    @pytest.mark.parametrize("g", [GroupSpec.scalar(3, 2), G7], ids=str)
+    def test_no_gap_without_an_exhaustive_sweep(self, g):
+        rep = verify_gap_theorem(g, budget=10)
+        assert not rep.exhaustive and not rep.all_passed
+        assert rep.gaps == []
+
+    def test_gamma7_undecided_is_derived_from_the_witnesses(self, monkeypatch):
+        """Without the 32-term witness, 32 joins the values below the frontier left open."""
+        catalog = [entry for entry in gapsearch.GAMMA7_CATALOG if entry[0] != "n32"]
+        monkeypatch.setattr(gapsearch, "GAMMA7_CATALOG", catalog)
+        rep = verify_gap_theorem(G7)
+        assert rep.frontier == 37
+        assert rep.undecided == [31, 32, 35, 36]
 
 
 class TestSearchTargets:

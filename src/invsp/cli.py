@@ -236,6 +236,8 @@ def cmd_gaps(args) -> int:
         h_degree = args.max_degree - F.degree()
         fam_size_guess = 2 * F.term_count() + 2
         value_cap = fam_size_guess if h_degree > 3 else None
+    elif value_cap < 0:
+        raise UsageError(f"--value-cap must be nonnegative, not {value_cap}")
     report = gapsearch.achievable_set(
         g,
         args.max_degree,
@@ -244,12 +246,15 @@ def cmd_gaps(args) -> int:
         h_degree_exact=args.h_degree_exact,
         budget=args.budget,
     )
+    scope = f"within degree {report.degree_bound}"
+    if args.h_degree_exact is not None:
+        scope += f", H of exact degree {args.h_degree_exact}"
     _emit(
         report.to_json_dict(),
         args.format,
         lambda d: print(
             f"achievable: {sorted(report.achievable)}\n"
-            f"proven gaps (within degree {report.degree_bound}): {report.proven_gaps}\n"
+            f"proven gaps ({scope}): {report.proven_gaps}\n"
             f"exhaustive: {report.exhaustive}"
         ),
     )

@@ -361,6 +361,10 @@ def achievable_set(
         raise ValueError("degree bound is below the degree of the basic polynomial")
     h_degree = degree_bound_value - F.degree()
     fam = build_coefficient_family(g, h_degree, sign_mode)
+    if h_degree_exact is not None and all(p.degree != h_degree_exact for p in fam.params):
+        raise ValueError(
+            f"no coefficient of H has degree {h_degree_exact} within degree {degree_bound_value}"
+        )
     report = run_l0_sweep(
         fam,
         sought=None if targets is None else sorted(int(v) for v in targets),
@@ -497,14 +501,15 @@ def _closure_tail(g, label, base, bound, start, absent, exhaustive, checks) -> G
     )
     frontier = closure_frontier(closed, min(base))
     below = ", ".join(str(v) for v in sorted(closed) if v < start)
-    checks.append(
-        CheckResult(
-            f"{label}-frontier",
-            frontier == start and all(v in closed for v in range(start, bound + 1)),
+    if bound < start:  # the range below would be empty, so nothing would be checked
+        ok, detail = False, f"closure bound {bound} is below the frontier {start}"
+    else:
+        ok = frontier == start and all(v in closed for v in range(start, bound + 1))
+        detail = (
             f"every N in [{start}, {bound}] achievable; "
-            f"below {start} exactly {{{below}}} are witnessed",
+            f"below {start} exactly {{{below}}} are witnessed"
         )
-    )
+    checks.append(CheckResult(f"{label}-frontier", ok, detail))
     gaps = [v for v in absent if v not in closed]
     top = bound + 1 if frontier is None else frontier
     undecided = [v for v in range(1, top) if v not in closed and v not in gaps]
@@ -689,6 +694,8 @@ def search_targets(
     target_list = sorted(int(v) for v in targets)
     if not target_list:
         raise ValueError("no targets given")
+    if target_list[0] < 1:
+        raise ValueError(f"term count must be positive (target {target_list[0]})")
     # the degree estimate rejects a target it has no bound for before any sweep
     needed = max(degree_bound(g.nvars, v) for v in target_list) if g.nvars >= 2 else None
     rep = achievable_set(

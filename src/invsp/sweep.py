@@ -10,21 +10,23 @@ Structure of the search, mirroring a by-hand case analysis:
 
 1. Parameters are split by exact sign (zero / positive / negative where a
    negative value is allowed), giving a lattice of sign regions, walked
-   depth first over the parameters in their stored order.  Every prefix,
-   a full region included, is settled before the walk goes on: its zero
-   parameters are substituted away, and each slot that vanishes, or is
-   nonzero in every region below, is counted and dropped.  On the orthant
-   the sign boxes and the family's bounds for the parameters still
-   unsigned are first propagated, nonzero means positive, a slot the
-   boxes cap at zero is marked forced to vanish, and the whole subtree is
-   cut when a box empties or a slot cannot be nonnegative over the boxes;
-   in the free-sign regime nonzero means either sign over the sign boxes.
+   depth first over the parameters in their stored order by one recursive
+   generator.  Every prefix, a full region included, is settled before the
+   walk goes on: its zero parameters are substituted away, and each slot
+   that vanishes, or is nonzero in every region below, is counted and
+   dropped.  On the orthant the sign boxes and the family's bounds for the
+   parameters still unsigned are first propagated, nonzero means positive,
+   a slot the boxes cap at zero is marked forced to vanish, and the whole
+   subtree is cut when a box empties or a slot cannot be nonnegative over
+   the boxes; in the free-sign regime nonzero means either sign over the
+   sign boxes.
    In both, the subtree is cut when more slots are nonzero in every region
    below than the largest sought value.
 2. A region reaches the search settled: the count of its nonzero slots,
    its propagated boxes, its forced-zero slots and its open slot forms.
-   Only the open forms are branched on, with an exact rational LP as the
-   feasibility oracle.  A region solves one LP from scratch, and every
+   Only the open forms are branched on, zero first and then nonzero, by one
+   depth-first search for both sign regimes, with an exact rational LP as
+   the feasibility oracle.  A region solves one LP from scratch, and every
    later LP of its search is an earlier one plus rows, re-optimized from
    that LP's final tableau by the dual simplex.  Propagation and the LP
    rows both use the slot forms scaled to integers; the slack t of an LP
@@ -37,9 +39,10 @@ Structure of the search, mirroring a by-hand case analysis:
    symmetric under it, keeps only the lexicographically least region of
    each orbit, cutting the region lattice by up to a factor of three.  The
    test runs at every prefix whose positions the rotation maps onto
-   themselves (the degree-class boundaries), before the prefix is settled,
-   and cuts the whole subtree when a rotated image of the prefix is
-   smaller: no region below it is its orbit's representative.
+   themselves (the degree-class boundaries), before the prefix is settled:
+   it ranks the prefix's signs and compares them with its two rotated
+   images, and cuts the whole subtree when an image is smaller: no region
+   below it is its orbit's representative.
 
 One budget, which the walk and the region search both pay, bounds the
 whole sweep: every node of the sign lattice and every search node inside a
@@ -171,7 +174,6 @@ class _Compiled:
         index = {n: i for i, n in enumerate(self.names)}
         self.lo = [_exact(p.effective_lo(orthant)) for p in fam.params]
         self.hi = [_exact(p.hi) for p in fam.params]
-        self.degrees = [p.degree for p in fam.params]
         self.slots = [
             _CompiledSlot(
                 s.form.const,
@@ -208,37 +210,25 @@ def _interval_of(const, items, boxes):
     fmin, fmax = const, const
     min_att = max_att = True
     for pos, w in items:
-        lo, hi, lo_excl, hi_excl = boxes[pos]
+        # the box's ends, swapped for a negative weight: w*x is least at lo
         if w > 0:
-            if fmin is not None:
-                if lo is None:
-                    fmin = None
-                else:
-                    fmin += w * lo
-                    if lo == 0 and lo_excl:
-                        min_att = False
-            if fmax is not None:
-                if hi is None:
-                    fmax = None
-                else:
-                    fmax += w * hi
-                    if hi == 0 and hi_excl:
-                        max_att = False
+            lo, hi, lo_excl, hi_excl = boxes[pos]
         else:
-            if fmin is not None:
-                if hi is None:
-                    fmin = None
-                else:
-                    fmin += w * hi
-                    if hi == 0 and hi_excl:
-                        min_att = False
-            if fmax is not None:
-                if lo is None:
-                    fmax = None
-                else:
-                    fmax += w * lo
-                    if lo == 0 and lo_excl:
-                        max_att = False
+            hi, lo, hi_excl, lo_excl = boxes[pos]
+        if fmin is not None:
+            if lo is None:
+                fmin = None
+            else:
+                fmin += w * lo
+                if lo == 0 and lo_excl:
+                    min_att = False
+        if fmax is not None:
+            if hi is None:
+                fmax = None
+            else:
+                fmax += w * hi
+                if hi == 0 and hi_excl:
+                    max_att = False
     return fmin, min_att, fmax, max_att
 
 
@@ -338,12 +328,15 @@ def _explore_region(
 
     Only the region's first LP is solved from scratch; every other is an
     earlier LP plus the rows decided since, re-optimized by
-    :func:`ratlp.add_rows`, and every one counts as an LP call.  On the
+    :func:`ratlp.add_rows`, and every one counts as an LP call.  One
+    search serves both regimes; each open slot has a zero branch and then a
+    nonzero one, and a branch whose rows already hold needs no LP.  On the
     orthant each open slot's ``form >= 0`` row stays in every LP, so each
     child LP is its parent plus rows; a point that already satisfies a
     branch is reused, its row kept for the next LP.  In the free-sign
-    regime the zero branches chain their equalities, and a leaf branches
-    the signs of its nonzero slots from its last zero-branch LP.
+    regime the zero branches chain their equalities, the nonzero branch
+    adds no row, and a leaf branches the signs of its nonzero slots from
+    its last zero-branch LP.
     """
     support = [i for i, s in enumerate(sigma) if s != 0]
     n_vars = len(support) + 1  # support parameters plus slack t
@@ -382,15 +375,12 @@ def _explore_region(
     base_rows += bound_rows(n_vars - 1, None, 1, n_vars)  # t <= 1
     base_rows += [zero_row(entry) for entry in forced_zero]
 
-    def lp(rows) -> ratlp.LPResult:
+    def solve(res, rows) -> ratlp.LPResult:  # the region's first LP when res is None
         stats.lp_calls += 1
-        res = ratlp.solve_lp(objective, rows, n_vars)
-        stats.pivots += res.pivots
-        return res
-
-    def add(parent, rows) -> ratlp.LPResult:
-        stats.lp_calls += 1
-        res = ratlp.add_rows(parent, rows)
+        if res is None:
+            res = ratlp.solve_lp(objective, base_rows + rows, n_vars)
+        else:
+            res = ratlp.add_rows(res, rows)
         stats.pivots += res.pivots
         return res
 
@@ -415,9 +405,10 @@ def _explore_region(
         stats.nodes += 1
         budget.spend(1)
 
-    # ``res`` is the last LP solved on the way down and ``pending`` the rows
-    # decided since; on the orthant ``point`` satisfies both.  Every LP is
-    # ``res`` plus rows, re-optimized by the dual simplex.
+    # ``res`` is the last LP solved on the way down (None before the first)
+    # and ``pending`` the rows decided since; on the orthant ``point``
+    # satisfies both.  Every LP but the first is ``res`` plus rows,
+    # re-optimized by the dual simplex.
     def dfs(positives, undecided, point, res, pending):
         tick()
         lo_val = n_base + len(positives)
@@ -428,7 +419,8 @@ def _explore_region(
             stats.leaves += 1
             if lo_val in remaining:
                 if not comp.orthant:
-                    x = nonzero_point(lp(base_rows) if res is None else res, positives, n_vars, add)
+                    x = nonzero_point(solve(None, []) if res is None else res, positives, n_vars,
+                                      solve)
                     point = None if x is None else x[:-1]
                 if point is not None:
                     found[lo_val] = full_point(point)
@@ -436,33 +428,32 @@ def _explore_region(
             return
         head, rest = undecided[0], undecided[1:]
 
+        # (rows, held, positives) of the zero branch, then the nonzero one; a
+        # held branch needs no LP.  On the orthant each branch keeps head's
+        # form >= 0 from the parent LP: with t > 0 that row is implied, so it
+        # changes no decision.  In the free-sign regime the zero branch checks
+        # its equalities only, and the leaf branches the signs.
         if comp.orthant:
-            # each branch keeps head's form >= 0 from the parent LP: with t > 0
-            # that row is implied, so it changes no decision
             value = eval_entry(head, point)
-            for row, held, pos in (
-                (zero_row(head), value == 0, positives),
-                (positive_row(head), value > 0, positives + [head]),
-            ):
-                if held:
-                    dfs(pos, rest, point, res, pending + [row])
-                else:
-                    child = add(res, pending + [row])
-                    x = positive_point(child)
-                    if x is not None:
-                        dfs(pos, rest, x, child, [])
+            branches = (
+                ([zero_row(head)], value == 0, positives),
+                ([positive_row(head)], value > 0, positives + [head]),
+            )
         else:
-            # the zero branch checks its equalities only; the leaf branches signs
-            rows = [zero_row(head)]
-            child = lp(base_rows + rows) if res is None else add(res, rows)
-            if positive_point(child) is not None:
-                dfs(positives, rest, None, child, [])
-            dfs(positives + [head], rest, None, res, [])
+            branches = (([zero_row(head)], False, positives), ([], True, positives + [head]))
+        for rows, held, pos in branches:
+            if held:
+                dfs(pos, rest, point, res, pending + rows)
+            else:
+                child = solve(res, pending + rows)
+                x = positive_point(child)
+                if x is not None:
+                    dfs(pos, rest, x, child, [])
 
     tick()
     if comp.orthant:
         # each ambiguous slot's form >= 0 stays in every LP of the region
-        start = lp(base_rows + [
+        start = solve(None, [
             form_row(items, const, n_vars, ratlp.GE) for items, const, _ in ambiguous
         ])
         point = positive_point(start)
@@ -494,60 +485,19 @@ def _orbit_perm(fam: AffineFamily, comp: _Compiled) -> Optional[Sequence[int]]:
     return perm
 
 
-def _orbit_steps(perm, n: int) -> List[Optional[int]]:
-    """For each prefix length j closed under the rotation, the closed one before.
+def _canonical(sigma, rotations, j: int) -> bool:
+    """Whether sigma's first j signs, ranked, are no larger than each rotated image.
 
-    A length j is closed when the rotation maps positions ``0 .. j-1`` onto
-    themselves; in stored order these are the degree-class boundaries.
-    Lengths that are not closed, and every length when ``perm`` is None,
-    map to None.
+    ``j`` must be closed under the rotations, so the images read only
+    positions before j.  When an image is lexicographically smaller, no
+    region below the prefix is its orbit's representative.
     """
-    since: List[Optional[int]] = [None] * (n + 1)
-    if perm is not None:
-        last, reach = 0, -1
-        for j in range(1, n + 1):
-            reach = max(reach, perm[j - 1])
-            if reach < j:
-                since[j], last = last, j
-    return since
+    code = [_CANON_RANK[sigma[i]] for i in range(j)]
+    return all(code <= [_CANON_RANK[sigma[rot[i]]] for i in range(j)] for rot in rotations)
 
 
-def _orbit_tied(sigma, rotations, start: int, end: int, tied):
-    """The orbit test of a sign prefix, extended from closed length start to end.
-
-    ``tied`` holds, for each non-trivial rotation, whether its image of
-    sigma equals sigma on the positions before ``start``; once an image
-    compares larger, that rotation cannot make sigma non-canonical.  Only
-    positions ``start .. end-1`` are compared.  Returns the flags at
-    ``end``, or None when an image is lexicographically smaller there, so
-    that no region below the prefix is canonical.
-    """
-    out = []
-    for rot, eq in zip(rotations, tied):
-        if eq:
-            for i in range(start, end):
-                a, b = _CANON_RANK[sigma[i]], _CANON_RANK[sigma[rot[i]]]
-                if a != b:
-                    if a > b:
-                        return None
-                    eq = False
-                    break
-        out.append(eq)
-    return out
-
-
-def _region_ok(comp: _Compiled, sigma, h_degree_exact, skip_all_zero) -> bool:
-    if skip_all_zero and all(s == 0 for s in sigma):
-        return False
-    if h_degree_exact is not None:
-        if not any(
-            s != 0 and comp.degrees[i] == h_degree_exact for i, s in enumerate(sigma)
-        ):
-            return False
-    return True
-
-
-_BOX, _WINDOW = "pruned_box", "pruned_window"  # the prefix cut rules, as stats counters
+# the prefix cut rules, as stats counters
+_BOX, _WINDOW, _ORBIT = "pruned_box", "pruned_window", "pruned_orbit"
 
 
 class _Prefix:
@@ -644,25 +594,23 @@ class _Prefix:
         return _WINDOW if self.n_pos > top else None
 
 
-def _walk(
-    comp: _Compiled, perm, h_degree_exact, skip_all_zero, top: int, budget: _Budget,
-    stats: SweepStats,
-):
+def _walk(comp: _Compiled, perm, need, top: int, budget: _Budget, stats: SweepStats):
     """Depth-first walk of the sign lattice, in ``itertools.product`` order.
 
-    Yields ``(sigma, leaf)`` for every region that passes
-    :func:`_region_ok`, stands once settled and, when ``perm`` is given, is
-    canonical under it: lexicographically no larger, with signs ranked
-    0 < 1 < -1, than its images under the rotation and its square.
-    ``leaf`` is the region as its full-length :class:`_Prefix` settled it.
-    Every lattice node, the root included, is paid from ``budget`` before it
-    is tested or settled, and a cut subtree is charged all its nodes.
+    Yields ``(sigma, leaf)`` for every region that stands once settled, has
+    a nonzero parameter among the positions ``need`` (unless ``need`` is
+    None) and, when ``perm`` is given, is canonical under it:
+    lexicographically no larger, with signs ranked 0 < 1 < -1, than its
+    images under the rotation and its square.  ``leaf`` is the region as its
+    full-length :class:`_Prefix` settled it.  The root is paid from
+    ``budget`` first, every other lattice node before it is tested or
+    settled, and a cut subtree is charged all its nodes.
 
     At every prefix length the rotation maps onto itself, the full length
-    included, the prefix is tested first against its images (compared
-    incrementally by :func:`_orbit_tied`), and when an image is smaller the
-    subtree, whose every region is then non-canonical, is cut and counted
-    in ``stats.pruned_orbit``.  Every prefix that stands, the full length
+    included, the prefix is tested first against its images
+    (:func:`_canonical`), and when an image is smaller the subtree, whose
+    every region is then non-canonical, is cut and counted in
+    ``stats.pruned_orbit``.  Every prefix that stands, the full length
     included, is then settled by :class:`_Prefix` against ``top``, the
     largest sought value, and each subtree it cuts is counted in ``stats``
     under its rule.
@@ -672,53 +620,43 @@ def _walk(
     below = [0] * (n + 1)  # the lattice nodes under a prefix of each length
     for j in reversed(range(n)):
         below[j] = len(choices[j]) * (1 + below[j + 1])
-    since = _orbit_steps(perm, n)
+    # the prefix lengths j whose positions 0 .. j-1 the rotation maps onto
+    # themselves: in stored order, the degree-class boundaries
+    closed = () if perm is None else {j for j in range(1, n + 1) if max(perm[:j]) < j}
     rotations = () if perm is None else (perm, [perm[p] for p in perm])
-    tied = [(True, True)] * (n + 1)  # the orbit flags at each closed length
     occurs: List[List[int]] = [[] for _ in range(n)]
     for k, slot in enumerate(comp.slots):
         for p, _ in slot.iitems:
             occurs[p].append(k)
-    prefixes: List[Optional[_Prefix]] = [None] * (n + 1)
     sigma = [0] * n
-    nxt = [0] * n  # the next sign to try at each depth
-    budget.spend(1)  # the root
-    depth = 0
-    prefixes[0], rule = _Prefix.root(comp, top)
-    if rule is not None:
+
+    def cut(rule: str, j: int) -> None:  # the subtree under a prefix of length j
         setattr(stats, rule, getattr(stats, rule) + 1)
-        budget.spend(below[0])
-        return
-    while depth >= 0:
+        budget.spend(below[j])
+
+    def visit(depth: int, prefix: _Prefix):
         if depth == n:
-            tup = tuple(sigma)
-            if _region_ok(comp, tup, h_degree_exact, skip_all_zero):
-                yield tup, prefixes[n]
-            depth -= 1
-            continue
-        c = nxt[depth]
-        if c == len(choices[depth]):
-            nxt[depth] = 0
-            depth -= 1
-            continue
-        nxt[depth] = c + 1
-        s = sigma[depth] = choices[depth][c]
-        budget.spend(1)
-        start = since[depth + 1]
-        if start is not None:
-            flags = _orbit_tied(sigma, rotations, start, depth + 1, tied[start])
-            if flags is None:
-                stats.pruned_orbit += 1
-                budget.spend(below[depth + 1])
+            if need is None or any(sigma[i] for i in need):
+                yield tuple(sigma), prefix
+            return
+        for s in choices[depth]:
+            sigma[depth] = s
+            budget.spend(1)
+            if depth + 1 in closed and not _canonical(sigma, rotations, depth + 1):
+                cut(_ORBIT, depth + 1)
                 continue
-            tied[depth + 1] = flags
-        prefix, rule = prefixes[depth].child(depth, s, occurs[depth], comp.orthant, top)
-        if rule is not None:
-            setattr(stats, rule, getattr(stats, rule) + 1)
-            budget.spend(below[depth + 1])
-            continue
-        prefixes[depth + 1] = prefix
-        depth += 1
+            child, rule = prefix.child(depth, s, occurs[depth], comp.orthant, top)
+            if rule is not None:
+                cut(rule, depth + 1)
+                continue
+            yield from visit(depth + 1, child)
+
+    budget.spend(1)  # the root
+    root, rule = _Prefix.root(comp, top)
+    if rule is not None:
+        cut(rule, 0)
+        return
+    yield from visit(0, root)
 
 
 def run_l0_sweep(
@@ -748,6 +686,13 @@ def run_l0_sweep(
     )
 
     perm = _orbit_perm(fam, comp)
+    # the parameters of which a region must have a nonzero one, or None
+    if h_degree_exact is not None:
+        need = [i for i, p in enumerate(fam.params) if p.degree == h_degree_exact]
+    elif skip_all_zero:
+        need = range(len(fam.params))
+    else:
+        need = None
     stats = SweepStats()
     found: Dict[int, Dict[str, Rat]] = {}
     remaining = set(sought_set)  # the sought values no region has witnessed yet
@@ -759,7 +704,7 @@ def run_l0_sweep(
     top = max(sought_set, default=-1)
     meter = _Budget(budget)
     try:
-        for sigma, leaf in _walk(comp, perm, h_degree_exact, skip_all_zero, top, meter, stats):
+        for sigma, leaf in _walk(comp, perm, need, top, meter, stats):
             stats.regions_total += 1
             stats.regions_explored += 1
             _explore_region(comp, sigma, leaf, found, remaining, meter, stats)

@@ -3,12 +3,14 @@
 These are the straightforward versions: a product that multiplies every
 pair of terms in the backend's rationals, a division of G - F by F - 1 that
 rescans the whole remainder for its leading term at each step, an orbit
-test that builds a full region's rotated images, a region classifier
-that settles every slot of one sign region from scratch, and a dense
-two-phase simplex on ``Fraction``.  They share no code with
-``Polynomial.__mul__``, ``transform.quotient_H``, the sweep's incremental
-orbit cut or its prefix settling, or ``ratlp``; the classifier uses only the
-sweep's interval kernels, which ``test_sweep_boxes.py`` checks on their own.
+test that builds a full region's rotated images, the range of a form over
+a box taken item by item on ``Fraction``, a region classifier that settles
+every slot of one sign region from scratch, and a dense two-phase simplex
+on ``Fraction``.  They share no code with ``Polynomial.__mul__``,
+``transform.quotient_H``, the sweep's orbit test, interval kernel or prefix
+settling, or ``ratlp``; the classifier takes from the sweep only its sign
+boxes and its box propagation, which ``test_sweep_boxes.py`` checks against
+a rational reference.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from invsp.polycore import Polynomial
-from invsp.sweep import _interval_of, _propagate_box, _signed_box
+from invsp.sweep import _propagate_box, _signed_box
 
 _SIGN_RANK = {0: 0, 1: 1, -1: 2}
 
@@ -82,6 +84,35 @@ def reference_canonical(sigma, perm) -> bool:
     return True
 
 
+def _fraction(q) -> Fraction:
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def reference_interval(const, items, boxes):
+    """(fmin, fmin_attained, fmax, fmax_attained) of ``const + sum w*x`` over the boxes.
+
+    Each box is ``(lo, hi, lo_excl, hi_excl)``, an end None being unbounded
+    and an excluded end (only ever a 0) not attained.  For each item the
+    least and the greatest of ``w*x`` over its box are taken from the two
+    ends, in ``Fraction``.  An unbounded side is None, and its flag False.
+    """
+    inf = float("inf")
+    fmin = fmax = _fraction(const)
+    min_att = max_att = True
+    for pos, w in items:
+        lo, hi, lo_excl, hi_excl = boxes[pos]
+        ends = [(-inf if lo is None else _fraction(lo), not lo_excl),
+                (inf if hi is None else _fraction(hi), not hi_excl)]
+        (least, least_att), (most, most_att) = sorted((_fraction(w) * x, att) for x, att in ends)
+        fmin, fmax = fmin + least, fmax + most
+        min_att, max_att = min_att and least_att, max_att and most_att
+    if fmin == -inf:
+        fmin, min_att = None, False
+    if fmax == inf:
+        fmax, max_att = None, False
+    return fmin, min_att, fmax, max_att
+
+
 def reference_region(comp, sigma):
     """Settle every slot of the sign region sigma from scratch.
 
@@ -120,7 +151,7 @@ def reference_region(comp, sigma):
 
     forced_zero, ambiguous = [], []
     for k, const, items in reduced:
-        fmin, min_att, fmax, max_att = _interval_of(const, items, boxes)
+        fmin, min_att, fmax, max_att = reference_interval(const, items, boxes)
         if comp.orthant:
             if fmax is not None and (fmax < 0 or (fmax == 0 and not max_att)):
                 return None

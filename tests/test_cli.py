@@ -273,6 +273,47 @@ class TestGaps:
         assert code == 2 and out == "" and "term count must be positive" in err
         assert swept == []
 
+    @pytest.mark.parametrize("group", ["scalar:3:1", "weighted:5:2", "gamma7"])
+    def test_target_below_one_is_rejected_for_every_group(self, capsys, monkeypatch, group):
+        swept = []
+        monkeypatch.setattr(invsp.gapsearch, "achievable_set",
+                            lambda *args, **kwargs: swept.append(args))
+        code, out, err = run(
+            capsys, "gaps", "--group", group, "--max-degree", "10", "--targets=-5,0",
+        )
+        assert code == 2 and out == "" and "term count must be positive (target -5)" in err
+        assert swept == []
+
+    def test_negative_value_cap_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "gaps", "--group", "scalar:3:1", "--max-degree", "6", "--value-cap=-1",
+        )
+        assert code == 2 and out == "" and "--value-cap must be nonnegative" in err
+
+    @pytest.mark.parametrize("h_exact", ["7", "0", "-1"])
+    def test_exact_h_degree_no_coefficient_has_is_a_usage_error(self, capsys, h_exact):
+        """At degree 10, H has degree at most 3 and no constant term: no region
+        could meet the restriction, so every value would read as a gap."""
+        code, out, err = run(
+            capsys, "gaps", "--group", "gamma7", "--max-degree", "10",
+            f"--h-degree-exact={h_exact}",
+        )
+        assert code == 2 and out == ""
+        assert f"no coefficient of H has degree {h_exact} within degree 10" in err
+
+    def test_text_label_names_the_exact_h_degree(self, capsys):
+        """17 (H = 0) is a gap only among the H of exact degree 3."""
+        code, out, _ = run(
+            capsys, "gaps", "--group", "gamma7", "--max-degree", "10",
+            "--h-degree-exact", "3", "--format", "text",
+        )
+        assert code == 0
+        assert "proven gaps (within degree 10, H of exact degree 3): [0, 1," in out
+        code, out, _ = run(
+            capsys, "gaps", "--group", "gamma7", "--max-degree", "10", "--format", "text",
+        )
+        assert code == 0 and "proven gaps (within degree 10): [0, 1," in out
+
 
 class TestClosureCommand:
     def test_closure(self, capsys, tmp_path):
@@ -313,6 +354,16 @@ def test_verify_paper_json_matches_pinned_ledger(capsys):
     code, out, _ = run(capsys, "verify-paper", "--format", "json")
     assert code == 0
     assert out == pinned
+
+
+def test_verify_paper_closure_bound_below_the_frontier_fails(capsys):
+    """A closure bound of 34 leaves [37, 34] empty: the frontier check must fail."""
+    code, out, _ = run(capsys, "verify-paper", "--closure-bound", "34", "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    failed = [c for c in data["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["gamma7-frontier"]
+    assert failed[0]["detail"] == "closure bound 34 is below the frontier 37"
 
 
 def test_verify_paper_budget_reaches_every_sweep(capsys):

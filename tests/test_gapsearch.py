@@ -184,6 +184,18 @@ class TestGapTheorems:
         assert not rep.exhaustive and not rep.all_passed
         assert rep.gaps == []
 
+    @pytest.mark.parametrize(
+        "g,bound,start",
+        [(GroupSpec.scalar(3, 1), 0, 1), (GroupSpec.weighted(5, 2), 6, 7)],
+        ids=str,
+    )
+    def test_closure_bound_below_the_frontier_fails_the_frontier_check(self, g, bound, start):
+        """[start, bound] is empty, so it cannot show that every N from start on is reached."""
+        rep = verify_gap_theorem(g, closure_bound=bound)
+        frontier = next(c for c in rep.checks if c.name.endswith("-frontier"))
+        assert not frontier.passed and not rep.all_passed
+        assert frontier.detail == f"closure bound {bound} is below the frontier {start}"
+
     def test_gamma7_undecided_is_derived_from_the_witnesses(self, monkeypatch):
         """Without the 32-term witness, 32 joins the values below the frontier left open."""
         catalog = [entry for entry in gapsearch.GAMMA7_CATALOG if entry[0] != "n32"]

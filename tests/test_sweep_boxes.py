@@ -5,7 +5,9 @@ slot forms scaled to integers, in one pass per form.  The reference below
 is the direct rational version: for every item it re-sums the rest of the
 form, and it divides in ``Rat``.  Both must give the same verdict and the
 same bounds, with the same exclusive flags.  A box whose two ends meet at
-an excluded 0 is empty.
+an excluded 0 is empty.  The range of a form over the boxes is checked
+against ``reference_interval``, which takes each item's least and greatest
+value from the two ends of its box in ``Fraction``.
 """
 
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from invsp.rat import Rat, rat
 from invsp.sweep import _CompiledSlot, _exact, _interval_of, _propagate_box
 
 from conftest import rationals
+from reference_kernels import reference_interval
 
 
 def reference_propagate(boxes, forms, rounds=3):
@@ -140,3 +143,51 @@ def test_bounds_stay_integral_where_they_can():
     assert boxes[0] == (rat(3, 2), 2, False, False)
     assert boxes[1] == (0, rat(1, 2), False, False)
     assert type(boxes[0][1]) is int and isinstance(boxes[1][1], Rat)
+
+
+@st.composite
+def interval_ends(draw):
+    """A box end: None, an int, a non-integral rational, or a 0 that may be excluded."""
+    kind = draw(st.sampled_from(("none", "int", "rational", "zero")))
+    if kind == "none":
+        return None, False
+    if kind == "int":
+        return draw(st.integers(-9, 9)), False
+    if kind == "rational":
+        return draw(rationals().filter(lambda q: q.denominator != 1)), False
+    return draw(st.sampled_from((0, rat(0)))), draw(st.booleans())
+
+
+@st.composite
+def nonempty_boxes(draw):
+    (lo, lo_excl), (hi, hi_excl) = draw(interval_ends()), draw(interval_ends())
+    if lo is not None and hi is not None:
+        if lo > hi:
+            (lo, lo_excl), (hi, hi_excl) = (hi, hi_excl), (lo, lo_excl)
+        if lo == hi:
+            lo_excl = hi_excl = False
+    return lo, hi, lo_excl, hi_excl
+
+
+@st.composite
+def interval_problems(draw):
+    boxes = draw(st.lists(nonempty_boxes(), min_size=1, max_size=5))
+    weight = st.one_of(st.integers(-9, 9), rationals()).filter(lambda w: w != 0)
+    positions = draw(st.sets(st.integers(0, len(boxes) - 1)))
+    items = tuple((p, draw(weight)) for p in sorted(positions))
+    const = draw(st.one_of(st.integers(-9, 9), rationals()))
+    return const, items, boxes
+
+
+@settings(max_examples=400, deadline=None)
+@given(interval_problems())
+def test_interval_matches_the_reference(problem):
+    """Unbounded ends, excluded zero ends and weights of both signs."""
+    const, items, boxes = problem
+    fmin, min_att, fmax, max_att = _interval_of(const, items, boxes)
+    ref_min, ref_min_att, ref_max, ref_max_att = reference_interval(const, items, boxes)
+    assert fmin == ref_min and fmax == ref_max
+    if fmin is not None:
+        assert min_att == ref_min_att
+    if fmax is not None:
+        assert max_att == ref_max_att

@@ -65,13 +65,26 @@ def sweep_case(case):
     return fam, comp, sought_set, h_exact
 
 
-def lattice_regions(comp, perm, h_exact):
+def needed(fam, h_exact):
+    """The parameters of which a region must have a nonzero one, or None."""
+    if h_exact is None:
+        return None
+    return [i for i, p in enumerate(fam.params) if p.degree == h_exact]
+
+
+def degree_ok(fam, sigma, h_exact):
+    """Whether region sigma has a nonzero parameter of degree h_exact (if one is given)."""
+    return h_exact is None or any(
+        s != 0 and p.degree == h_exact for s, p in zip(sigma, fam.params)
+    )
+
+
+def lattice_regions(fam, comp, perm, h_exact):
     """Every region of the uncut lattice the walk would look at, in order."""
     return [
         sigma
         for sigma in itertools.product(*comp.choices)
-        if sweep._region_ok(comp, sigma, h_exact, False)
-        and (perm is None or reference_canonical(sigma, perm))
+        if degree_ok(fam, sigma, h_exact) and (perm is None or reference_canonical(sigma, perm))
     ]
 
 
@@ -87,8 +100,8 @@ def reaches_sought(ref, sought_set):
 def test_cut_regions_need_no_search(case):
     fam, comp, sought_set, h_exact = sweep_case(case)
     perm = sweep._orbit_perm(fam, comp)
-    regions = lattice_regions(comp, perm, h_exact)
-    walk = sweep._walk(comp, perm, h_exact, False, max(sought_set), sweep._Budget(10**30),
+    regions = lattice_regions(fam, comp, perm, h_exact)
+    walk = sweep._walk(comp, perm, needed(fam, h_exact), max(sought_set), sweep._Budget(10**30),
                        sweep.SweepStats())
     kept = [sigma for sigma, _ in walk]
     in_order = iter(regions)
@@ -191,7 +204,7 @@ def test_walk_yields_each_region_at_its_lattice_tick(case, limit, monkeypatch):
         tick = preorder_tick(comp.choices, below, sigma)
         if tick > limit:
             break
-        if sweep._region_ok(comp, sigma, h_exact, False) and (
+        if degree_ok(fam, sigma, h_exact) and (
             perm is None or reference_canonical(sigma, perm)
         ):
             expected.append((sigma, tick))
@@ -200,8 +213,8 @@ def test_walk_yields_each_region_at_its_lattice_tick(case, limit, monkeypatch):
         budget = sweep._Budget(limit)
         steps = []
         try:
-            for sigma, leaf in sweep._walk(comp, perm, h_exact, False, max(sought_set), budget,
-                                           sweep.SweepStats()):
+            for sigma, leaf in sweep._walk(comp, perm, needed(fam, h_exact), max(sought_set),
+                                           budget, sweep.SweepStats()):
                 assert len(leaf.forms) == len(comp.slots)
                 steps.append((sigma, budget.spent))
         except sweep._BudgetExhausted:
@@ -234,7 +247,7 @@ def test_orbit_cut_spares_prefix_settles(case, monkeypatch):
     counts = []
     for orbit in (perm, None):
         settles.clear()
-        for _ in sweep._walk(comp, orbit, h_exact, False, max(sought_set),
+        for _ in sweep._walk(comp, orbit, needed(fam, h_exact), max(sought_set),
                              sweep._Budget(10**30), sweep.SweepStats()):
             pass
         counts.append(len(settles))
@@ -260,7 +273,7 @@ def reference_sweep(fam, comp, sought_set, h_exact):
     found = {}
     remaining = set(sought_set)
     budget = sweep._Budget(10**9)  # the search must run to the end
-    for sigma in lattice_regions(comp, sweep._orbit_perm(fam, comp), h_exact):
+    for sigma in lattice_regions(fam, comp, sweep._orbit_perm(fam, comp), h_exact):
         if not remaining:
             break
         ref = reference_region(comp, sigma)

@@ -54,11 +54,6 @@ class LinearForm:
             total += w * point[name]
         return total
 
-    def rename(self, mapping: Mapping[str, str]) -> "LinearForm":
-        return LinearForm(
-            self.const, {mapping.get(n, n): w for n, w in self.weights.items()}
-        )
-
     def is_zero(self) -> bool:
         return self.const == 0 and not self.weights
 
@@ -152,16 +147,20 @@ class PatternResult:
 
 @dataclass
 class AffineFamily:
-    """Ordered parameters plus ordered (monomial, affine form) slots."""
+    """Ordered parameters plus ordered (monomial, affine form) slots.
+
+    ``symmetry``, set on construction, is the one test the sweep's orbit cut
+    relies on: the parameter permutation of x -> y -> z -> x (parameter i
+    maps to ``symmetry[i]``) when the rotation maps every parameter's bounds
+    and every slot's form onto its image's, and None otherwise.
+    """
 
     nvars: int
     params: List[ParamSpec]
     slots: List[SlotSpec]
     group: Optional[GroupSpec] = None
     orthant_default: bool = True
-    symmetry: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = field(
-        default=None, repr=False
-    )  # (param index permutation, slot index permutation) of order 3
+    symmetry: Optional[Tuple[int, ...]] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         names = [p.name for p in self.params]
@@ -170,6 +169,7 @@ class AffineFamily:
         if "const" in names:
             raise ValueError("'const' is reserved and cannot name a parameter")
         self.slots = [s for s in self.slots if not s.form.is_zero()]
+        self.symmetry = _detect_rotation_symmetry(self)
 
     @property
     def param_names(self) -> List[str]:
@@ -252,15 +252,13 @@ class AffineFamily:
             )
             for entry in data["slots"]
         ]
-        fam = cls(
+        return cls(
             nvars=int(data["nvars"]),
             params=params,
             slots=slots,
             group=GroupSpec.from_json_dict(data["group"]) if data.get("group") else None,
             orthant_default=bool(data.get("orthant", True)),
         )
-        fam.symmetry = _detect_rotation_symmetry(fam)
-        return fam
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True)
@@ -282,8 +280,6 @@ GAMMA7_PARAM_NAMES: Dict[Monomial, str] = {
     (2, 2, 2): "V",
 }
 
-_GAMMA7_PARAM_ORDER = ["U", "B", "C", "D", "R", "S", "T", "K", "L", "M", "V"]
-
 
 def _param_name(g: GroupSpec, mono: Monomial) -> str:
     if g.family == GAMMA7 and mono in GAMMA7_PARAM_NAMES:
@@ -292,9 +288,8 @@ def _param_name(g: GroupSpec, mono: Monomial) -> str:
 
 
 def _param_sort_key(g: GroupSpec, mono: Monomial):
-    name = _param_name(g, mono)
-    if g.family == GAMMA7 and name in _GAMMA7_PARAM_ORDER:
-        return (0, _GAMMA7_PARAM_ORDER.index(name))
+    if g.family == GAMMA7 and mono in GAMMA7_PARAM_NAMES:
+        return (0, list(GAMMA7_PARAM_NAMES).index(mono))
     return (1, grlex_key(mono))
 
 
@@ -322,73 +317,57 @@ def build_coefficient_family(
     )
     names = [_param_name(g, m) for m in monos]
 
-    # slot form accumulation: G = F - H + H*F
-    acc: Dict[Monomial, Tuple[Rat, Dict[str, Rat]]] = {}
-
-    def bump(mono: Monomial, const_delta: Rat, name: Optional[str], w: Rat) -> None:
-        const, weights = acc.get(mono, (rat(0), {}))
-        const = const + const_delta
-        if name is not None:
-            weights = dict(weights)
-            weights[name] = weights.get(name, rat(0)) + w
-        acc[mono] = (const, weights)
-
-    for mono, coeff in F.terms.items():
-        bump(mono, coeff, None, rat(0))
+    # G = F - H + H*F, as [const, {name: weight}] per monomial of G
+    acc: Dict[Monomial, list] = {mono: [coeff, {}] for mono, coeff in F.terms.items()}
     for name, h_mono in zip(names, monos):
-        bump(h_mono, rat(0), name, rat(-1))
-        for f_mono, f_coeff in F.terms.items():
-            prod = tuple(a + b for a, b in zip(h_mono, f_mono))
-            bump(prod, rat(0), name, f_coeff)
+        terms = [(h_mono, -1)]
+        terms += [(tuple(a + b for a, b in zip(h_mono, f)), c) for f, c in F.terms.items()]
+        for mono, w in terms:
+            weights = acc.setdefault(mono, [0, {}])[1]
+            weights[name] = weights.get(name, 0) + w
+    slots = [
+        SlotSpec(mono=mono, form=LinearForm(*acc[mono]))
+        for mono in sorted(acc, key=grlex_key, reverse=True)
+    ]
 
-    slots = []
-    for mono in sorted(acc, key=grlex_key, reverse=True):
-        const, weights = acc[mono]
-        form = LinearForm(const, weights)
-        if not form.is_zero():
-            slots.append(SlotSpec(mono=mono, form=form))
-
-    appears_alone = set()
-    for s in slots:
-        single = s.form.single_param()
-        if single is not None and single[1] > 0:
-            appears_alone.add(single[0])
-
+    singles = filter(None, (s.form.single_param() for s in slots))
+    appears_alone = {name for name, w in singles if w > 0}
     params = []
     for name, mono in zip(names, monos):
-        if sign_mode == NONNEG_H:
-            params.append(ParamSpec(name=name, mono=mono, lo=rat(0), hi=None))
-        elif name in appears_alone:
-            params.append(
-                ParamSpec(name=name, mono=mono, lo=rat(0), hi=None, structural=True)
-            )
-        else:
-            params.append(ParamSpec(name=name, mono=mono, lo=None, hi=None))
+        structural = sign_mode == SIGNED_H and name in appears_alone
+        lo = rat(0) if sign_mode == NONNEG_H or structural else None
+        params.append(ParamSpec(name=name, mono=mono, lo=lo, structural=structural))
 
-    fam = AffineFamily(nvars=g.nvars, params=params, slots=slots, group=g)
-    fam.symmetry = _detect_rotation_symmetry(fam)
-    return fam
+    return AffineFamily(nvars=g.nvars, params=params, slots=slots, group=g)
 
 
-def _detect_rotation_symmetry(fam: AffineFamily):
-    """Order-3 symmetry induced by rotating x -> y -> z -> x, if present."""
-    if fam.nvars != 3 or not fam.params or any(p.mono is None for p in fam.params):
+def _detect_rotation_symmetry(fam: AffineFamily) -> Optional[Tuple[int, ...]]:
+    """The parameter permutation of x -> y -> z -> x when it is a symmetry.
+
+    It is one when every parameter's ``(lo, hi, structural)`` equals its
+    image's and every slot's form, each parameter renamed to its image,
+    equals the form of the slot at the rotated monomial.
+    """
+    params = fam.params
+    if fam.nvars != 3 or not params or any(x.mono is None for x in params + fam.slots):
         return None
-    mono_to_param = {p.mono: i for i, p in enumerate(fam.params)}
-    mono_to_slot = {s.mono: i for i, s in enumerate(fam.slots)}
+    param_at = {p.mono: i for i, p in enumerate(params)}
+    form_at = {s.mono: s.form for s in fam.slots}
     try:
-        param_perm = tuple(mono_to_param[rotate_xyz(p.mono)] for p in fam.params)
-        slot_perm = tuple(mono_to_slot[rotate_xyz(s.mono)] for s in fam.slots)
+        perm = tuple(param_at[rotate_xyz(p.mono)] for p in params)
     except KeyError:
         return None
-    rename = {
-        fam.params[i].name: fam.params[param_perm[i]].name
-        for i in range(len(fam.params))
-    }
-    for i, s in enumerate(fam.slots):
-        if fam.slots[slot_perm[i]].form != s.form.rename(rename):
+    images = [params[j] for j in perm]
+    if any((p.lo, p.hi, p.structural) != (q.lo, q.hi, q.structural)
+           for p, q in zip(params, images)):
+        return None
+    image_name = {p.name: q.name for p, q in zip(params, images)}
+    for s in fam.slots:
+        image = form_at.get(rotate_xyz(s.mono))
+        renamed = {image_name[n]: w for n, w in s.form.weights.items()}
+        if image is None or (image.const, image.weights) != (s.form.const, renamed):
             return None
-    return (param_perm, slot_perm)
+    return perm
 
 
 def instantiate(fam: AffineFamily, point: Mapping) -> Polynomial:

@@ -141,34 +141,36 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def cmd_family(args) -> int:
-    if args.family_cmd == "build":
-        g = _group(args.group)
-        fam = build_coefficient_family(g, args.h_degree, args.sign_mode)
-        _emit(fam.to_json_dict(), args.format)
-        return EXIT_OK
+def cmd_family_build(args) -> int:
+    fam = build_coefficient_family(_group(args.group), args.h_degree, args.sign_mode)
+    _emit(
+        fam.to_json_dict(),
+        args.format,
+        lambda d: print("\n".join(f"{s.mono}: {s.form}" for s in fam.slots)),
+    )
+    return EXIT_OK
+
+
+def cmd_family_instantiate(args) -> int:
     fam = AffineFamily.from_json_dict(_load_json_file(args.family))
-    if args.family_cmd == "instantiate":
-        point_data = (
-            json.loads(args.point) if args.point.strip().startswith("{") else _load_json_file(args.point)
-        )
-        try:
-            point = {k: rat(v) for k, v in point_data.items()}
-            poly = instantiate(fam, point)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise UsageError(f"bad parameter point: {exc}")
-        _emit(
-            poly.to_json_dict(),
-            args.format,
-            lambda d: print(f"{poly}  [terms={poly.term_count()}]"),
-        )
-        return EXIT_OK
-    if args.family_cmd == "l0range":
-        return _run_l0range(fam, args)
-    raise UsageError("unknown family subcommand")
+    point_data = (
+        json.loads(args.point) if args.point.strip().startswith("{") else _load_json_file(args.point)
+    )
+    try:
+        point = {k: rat(v) for k, v in point_data.items()}
+        poly = instantiate(fam, point)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise UsageError(f"bad parameter point: {exc}")
+    _emit(
+        poly.to_json_dict(),
+        args.format,
+        lambda d: print(f"{poly}  [terms={poly.term_count()}]"),
+    )
+    return EXIT_OK
 
 
-def _run_l0range(fam: AffineFamily, args) -> int:
+def cmd_family_l0range(args) -> int:
+    fam = AffineFamily.from_json_dict(_load_json_file(args.family))
     report = run_l0_sweep(
         fam,
         orthant=args.orthant,
@@ -497,12 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--h-degree", type=int, required=True)
     b.add_argument("--sign-mode", choices=("signed", "nonneg"), default="signed")
     formatted(b)
-    b.set_defaults(func=cmd_family)
+    b.set_defaults(func=cmd_family_build)
     i = fam_sub.add_parser("instantiate")
     i.add_argument("--family", required=True)
     i.add_argument("--point", required=True, help="JSON object or file of parameter values")
     formatted(i)
-    i.set_defaults(func=cmd_family)
+    i.set_defaults(func=cmd_family_instantiate)
     l = fam_sub.add_parser("l0range", help="sparsity sweep of a family file")
     l.add_argument("--family", required=True, help="family JSON file")
     l.add_argument("--targets")
@@ -510,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     side.add_argument("--orthant", dest="orthant", action="store_true", default=None)
     side.add_argument("--no-orthant", dest="orthant", action="store_false")
     sweeping(l)
-    l.set_defaults(func=cmd_family)
+    l.set_defaults(func=cmd_family_l0range)
 
     p = sub.add_parser("gaps", help="achievable term counts and gaps for a group")
     p.add_argument("--group", required=True)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .affinefamily import build_coefficient_family, instantiate
+from .affinefamily import build_coefficient_family
 from .construct import basic_poly_closed, coefficient_c
 from .groups import GAMMA7, SCALAR, WEIGHTED, GroupSpec
 from .polycore import Polynomial
@@ -374,8 +374,9 @@ def achievable_set(
     )
     achievable: Dict[int, Polynomial] = {}
     for value, point in report.achievable.items():
-        _validated(g, value, instantiate(fam, point))
-        achievable[value] = fam.h_polynomial(point)
+        H = fam.h_polynomial(point)
+        _validated(g, value, tensor_step(F, H))
+        achievable[value] = H
     return AchievabilityReport(
         group=g,
         degree_bound=degree_bound_value,

@@ -35,9 +35,10 @@ Structure of the search, mirroring a by-hand case analysis:
 3. Regions are settled in walk order, each against the sought values no
    earlier region has witnessed, and branches whose attainable value
    interval cannot contribute a still undecided value are pruned.
-4. An order-3 variable rotation, when the family and its bounds are
-   symmetric under it, keeps only the lexicographically least region of
-   each orbit, cutting the region lattice by up to a factor of three.  The
+4. An order-3 variable rotation, when the family's forms and bounds are
+   symmetric under it (``AffineFamily.symmetry``), keeps only the
+   lexicographically least region of each orbit, cutting the region
+   lattice by up to a factor of three.  The
    test runs at every prefix whose positions the rotation maps onto
    themselves (the degree-class boundaries), before the prefix is settled:
    it ranks the prefix's signs and compares them with its two rotated
@@ -468,23 +469,6 @@ def _explore_region(
 # -- the sign-region walk and the public sweep -----------------------------------
 
 
-def _orbit_perm(fam: AffineFamily, comp: _Compiled) -> Optional[Sequence[int]]:
-    """The rotation the orbit cut uses, or None when it would be unsound.
-
-    The cut is sound only when the rotation maps every parameter's bounds
-    and sign choices onto its image's.
-    """
-    perm = fam.symmetry[0] if fam.symmetry else None
-    if perm is not None and any(
-        comp.choices[perm[i]] != comp.choices[i]
-        or comp.lo[perm[i]] != comp.lo[i]
-        or comp.hi[perm[i]] != comp.hi[i]
-        for i in range(len(perm))
-    ):
-        return None  # asymmetric bounds
-    return perm
-
-
 def _canonical(sigma, rotations, j: int) -> bool:
     """Whether sigma's first j signs, ranked, are no larger than each rotated image.
 
@@ -685,10 +669,11 @@ def run_l0_sweep(
         frozenset(range(n_slots + 1)) if sought is None else frozenset(int(v) for v in sought)
     )
 
-    perm = _orbit_perm(fam, comp)
     # the parameters of which a region must have a nonzero one, or None
     if h_degree_exact is not None:
         need = [i for i, p in enumerate(fam.params) if p.degree == h_degree_exact]
+        if not need:  # no region could qualify: an absence would be vacuous
+            raise ValueError(f"no parameter has degree {h_degree_exact}")
     elif skip_all_zero:
         need = range(len(fam.params))
     else:
@@ -704,7 +689,7 @@ def run_l0_sweep(
     top = max(sought_set, default=-1)
     meter = _Budget(budget)
     try:
-        for sigma, leaf in _walk(comp, perm, need, top, meter, stats):
+        for sigma, leaf in _walk(comp, fam.symmetry, need, top, meter, stats):
             stats.regions_total += 1
             stats.regions_explored += 1
             _explore_region(comp, sigma, leaf, found, remaining, meter, stats)

@@ -119,6 +119,18 @@ class TestFamilyCommands:
         assert sorted(int(k) for k in data["achievable"]) == [17, 29, 30]
         assert data["exhaustive"] is True
 
+    def test_build_text_is_one_line_per_slot(self, capsys):
+        argv = ("family", "build", "--group", "gamma7", "--h-degree", "3")
+        code, out, _ = run(capsys, *argv, "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert "(1, 1, 1): 14 - U" in lines
+        assert "(7, 0, 0): 1" in lines
+        code, default, _ = run(capsys, *argv)
+        slots = json.loads(default)["slots"]
+        assert len(lines) == len(slots) and default != out
+        assert run(capsys, *argv, "--format", "json")[1] == default
+
     def test_top_level_l0range_alias(self, capsys, tmp_path):
         """The sweep lives under ``family l0range`` only; the old alias is gone."""
         code, out, _ = run(

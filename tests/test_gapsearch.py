@@ -284,21 +284,70 @@ class TestSweepEngineEdges:
             assert set(stats) == STATS_KEYS, type(rep).__name__
             assert stats == asdict(rep.stats)
 
-    @pytest.mark.parametrize("name,hi", [("D", "0"), ("D", "1"), ("C", "0")])
-    def test_orbit_cut_needs_rotation_invariant_bounds(self, name, hi):
-        """One bounded parameter breaks the rotation's symmetry of the bounds."""
+    @staticmethod
+    def edited_h4(name, key, value):
+        """The gamma7 h4 family with one parameter's bound edited in its JSON."""
         data = build_coefficient_family(G7, 4, "signed").to_json_dict()
         for param in data["params"]:
             if param["name"] == name:
-                param["hi"] = hi
-        fam = AffineFamily.from_json_dict(data)
-        assert fam.symmetry is not None  # the slot forms are still symmetric
+                param[key] = value
+        return AffineFamily.from_json_dict(data)
+
+    def test_orbit_cut_on_the_unedited_family(self):
+        fam = build_coefficient_family(G7, 4, "signed")
         cut = run_l0_sweep(fam)
         fam.symmetry = None
         full = run_l0_sweep(fam)
+        assert cut.stats.pruned_orbit == 9 and full.stats.pruned_orbit == 0
         assert cut.exhaustive and full.exhaustive
-        assert cut.to_json_dict() == full.to_json_dict()
-        assert {32, 37, 42} <= set(full.achievable)
+        assert cut.achievable == full.achievable
+        assert cut.certified_absent == full.certified_absent
+
+    @pytest.mark.parametrize("name,hi", [("D", "0"), ("D", "1"), ("C", "0")])
+    def test_orbit_cut_needs_rotation_invariant_bounds(self, name, hi):
+        """One bounded parameter breaks the rotation's symmetry of the bounds."""
+        fam = self.edited_h4(name, "hi", hi)
+        assert fam.symmetry is None  # although the slot forms are still symmetric
+        rep = run_l0_sweep(fam)
+        assert rep.exhaustive and rep.stats.pruned_orbit == 0
+        assert {32, 37, 42} <= set(rep.achievable)
+        # the rotation of the forms alone, used anyway, cuts witnesses away
+        fam.symmetry = build_coefficient_family(G7, 4, "signed").symmetry
+        unsound = run_l0_sweep(fam)
+        assert unsound.to_json_dict() != rep.to_json_dict()
+        assert set(unsound.achievable) < set(rep.achievable)
+
+    def test_orbit_cut_needs_rotation_invariant_structural_flags(self):
+        """A structural flag differing within an orbit gives up the cut, not an answer."""
+        fam = self.edited_h4("B", "structural", False)
+        assert fam.symmetry is None
+        edited = run_l0_sweep(fam)
+        unedited = run_l0_sweep(build_coefficient_family(G7, 4, "signed"))
+        assert edited.exhaustive and unedited.exhaustive
+        assert set(edited.achievable) == set(unedited.achievable)
+        assert edited.certified_absent == unedited.certified_absent
+        assert edited.stats.pruned_orbit == 0 and unedited.stats.pruned_orbit == 9
+        assert edited.stats.regions_total == 17 and unedited.stats.regions_total == 9
+
+    def test_h_degree_exact_needs_a_parameter_of_that_degree(self):
+        """With no such parameter no region qualifies, and an absence would be vacuous."""
+        fam = build_coefficient_family(G7, 4, "signed")
+        with pytest.raises(ValueError, match="no parameter has degree 0"):
+            run_l0_sweep(fam, h_degree_exact=0)
+        assert run_l0_sweep(fam, h_degree_exact=4).exhaustive
+        # skipping H = 0 with no parameter at all stays allowed: vacuously true
+        empty = build_coefficient_family(G7, 0, "signed")
+        assert not empty.params
+        assert run_l0_sweep(empty, skip_all_zero=True).exhaustive
+
+    def test_achievable_set_validates_the_reported_witness(self, monkeypatch):
+        """The H reported is the H validated: a wrong H fails, not slips through."""
+        h_polynomial = AffineFamily.h_polynomial
+        monkeypatch.setattr(
+            AffineFamily, "h_polynomial", lambda fam, point: h_polynomial(fam, point) * 2
+        )
+        with pytest.raises(AssertionError, match="failed validation"):
+            achievable_set(G7, 10, "signed")
 
     @staticmethod
     def cubic_free_sign_point():
@@ -448,8 +497,7 @@ class TestSignRegionWalk:
         rep = run_l0_sweep(fam, sought=[31, 35, 36], budget=2000)
         assert not rep.exhaustive
         assert seen and len(seen) == rep.stats.regions_explored
-        perm = fam.symmetry[0]
-        assert all(reference_canonical(sigma, perm) for sigma in seen)
+        assert all(reference_canonical(sigma, fam.symmetry) for sigma in seen)
 
 
 class TestUnconditionalScope:

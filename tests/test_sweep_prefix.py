@@ -99,7 +99,7 @@ def reaches_sought(ref, sought_set):
 @pytest.mark.parametrize("case", list(CASES))
 def test_cut_regions_need_no_search(case):
     fam, comp, sought_set, h_exact = sweep_case(case)
-    perm = sweep._orbit_perm(fam, comp)
+    perm = fam.symmetry
     regions = lattice_regions(fam, comp, perm, h_exact)
     walk = sweep._walk(comp, perm, needed(fam, h_exact), max(sought_set), sweep._Budget(10**30),
                        sweep.SweepStats())
@@ -197,7 +197,7 @@ def test_walk_yields_each_region_at_its_lattice_tick(case, limit, monkeypatch):
     """Each cut subtree costs its nodes; the orbit cut leaves out exactly
     the non-canonical regions, up to where the walk stops."""
     fam, comp, sought_set, h_exact = walk_case(case)
-    perm = sweep._orbit_perm(fam, comp)
+    perm = fam.symmetry
     below = lattice_nodes_below(comp.choices)
     expected = []
     for sigma in itertools.product(*comp.choices):
@@ -243,7 +243,7 @@ def test_orbit_cut_spares_prefix_settles(case, monkeypatch):
         return settle(self, touched, orthant, top)
 
     monkeypatch.setattr(sweep._Prefix, "_settle", counting)
-    perm = sweep._orbit_perm(fam, comp)
+    perm = fam.symmetry
     counts = []
     for orbit in (perm, None):
         settles.clear()
@@ -273,7 +273,7 @@ def reference_sweep(fam, comp, sought_set, h_exact):
     found = {}
     remaining = set(sought_set)
     budget = sweep._Budget(10**9)  # the search must run to the end
-    for sigma in lattice_regions(fam, comp, sweep._orbit_perm(fam, comp), h_exact):
+    for sigma in lattice_regions(fam, comp, fam.symmetry, h_exact):
         if not remaining:
             break
         ref = reference_region(comp, sigma)

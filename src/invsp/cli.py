@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -42,7 +43,7 @@ from .groups import GroupSpec, parse_group
 from .polycore import Polynomial
 from .rat import rat
 from .sweep import DEFAULT_BUDGET, run_l0_sweep
-from .transform import degree_bound, tensor_step, validate_special
+from .transform import degree_bound, group_free_failures, tensor_step, validate_special
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -266,14 +267,29 @@ def cmd_gaps(args) -> int:
 def cmd_closure(args) -> int:
     data = _load_json_file(args.base)
     try:
-        entries = [(int(entry["n"]), Polynomial.from_json_dict(entry["poly"])) for entry in data]
+        entries = [
+            (operator.index(entry["n"]), Polynomial.from_json_dict(entry["poly"]))
+            for entry in data
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad closure base: {exc}")
     for i, (n, poly) in enumerate(entries):
         if poly.term_count() != n:
             raise UsageError(f"bad closure base: entry {i} has n={n} but {poly.term_count()} terms")
+        failed = group_free_failures(poly)
+        if failed:
+            raise UsageError(
+                f"bad closure base: entry {i} is not special: fails {', '.join(failed)}"
+            )
     base = dict(entries)
     closed = gapsearch.frobenius_closure(base, args.bound)
+    bad = [
+        v for v, poly in sorted(closed.items())
+        if poly.term_count() != v or group_free_failures(poly)
+    ]
+    if bad:
+        print(f"closure witnesses that fail the special checks: {bad}", file=sys.stderr)
+        return EXIT_MISMATCH
     t_min = min(base)
     frontier = gapsearch.closure_frontier(closed, t_min)
     out = {
@@ -524,7 +540,16 @@ def build_parser() -> argparse.ArgumentParser:
     sweeping(p)
     p.set_defaults(func=cmd_gaps)
 
-    p = sub.add_parser("closure", help="postage-stamp closure of witnessed values")
+    p = sub.add_parser(
+        "closure",
+        help="postage-stamp closure of witnessed values",
+        description=(
+            "Postage-stamp closure of a base of witnessed values. Every base entry and "
+            "every produced witness must have n terms, be 1 on the hyperplane, have "
+            "positive coefficients and vanish at the origin. No group is given, so "
+            "invariance is not checked."
+        ),
+    )
     p.add_argument("--base", required=True, help='JSON file: [{"n": 17, "poly": {...}}, ...]')
     p.add_argument("--bound", type=int, required=True)
     formatted(p)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from math import lcm
-from operator import add, mul
+from operator import add, index, mul
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
 from .rat import Rat, RatLike, rat, rat_str
@@ -54,14 +54,15 @@ def radix_decode(key: int, width: int, places: tuple[int, ...]) -> Monomial:
 
 def integer_terms(terms: Mapping[Monomial, Rat]) -> tuple[list[tuple[Monomial, int]], int]:
     """The terms with coefficients times L, the lcm of their denominators, and L."""
-    scale = lcm(*(int(c.denominator) for c in terms.values()))
+    ratios = [c.as_integer_ratio() for c in terms.values()]
+    scale = lcm(*(int(den) for _, den in ratios))
     return [
-        (mono, int(c.numerator) * (scale // int(c.denominator))) for mono, c in terms.items()
+        (mono, int(num) * (scale // int(den))) for mono, (num, den) in zip(terms, ratios)
     ], scale
 
 
 def _validate_mono(mono, nvars: int) -> Monomial:
-    mono = tuple(int(e) for e in mono)
+    mono = tuple(map(index, mono))
     if len(mono) != nvars:
         raise DimensionMismatchError(
             f"monomial {mono} has {len(mono)} exponents, expected {nvars}"
@@ -301,43 +302,63 @@ class Polynomial:
         variable fewer.  A polynomial is identically 1 on the hyperplane
         x + y (+ z) = 1 exactly when the result is the constant 1.
 
-        The substitution is one Horner pass over Python ints.  Every
+        The substitution is one Horner pass over packed Python ints.  Every
         coefficient is scaled by L, the lcm of the denominators, and the
         polynomial is grouped by its last exponent as f = sum_e z^e P_e.
-        From the top e down, acc = acc * (1 - x - y ...) + P_e; each step
-        adds an entry of acc at its own monomial and subtracts it at the
-        monomial shifted up in each of the other variables.  The entries are
-        keyed by one int per monomial, its exponents as digits in base
-        ``degree + 2``, so a shift up adds that variable's place value; the
-        keys are decoded to exponent tuples once, at the end, and the result
-        is acc / L.
+        Each P_e is a list of rows, one per exponent of the middle variable
+        (a single row for two variables), and a row holds the coefficients
+        of the first variable as ``bits``-wide balanced digits: the term
+        ``v * x^a y^b z^e`` adds ``v << (bits * a)`` to row b of layer e.
+        From the top e down, acc = acc * (1 - x - y) + P_e, which is one
+        shift and two subtractions per row.  The rows are decoded once, at
+        the end, lowest digit first (a negative digit borrows from the one
+        above), and a row's decode stops when nothing is left of it, so the
+        constant restriction of a special polynomial reads one digit.  The
+        result is acc / L.  With one variable it is the sum of the
+        coefficients.
+
+        A term ``x^a y^b z^c`` restricts to ``x^a y^b (1 - x - y)^c``, whose
+        coefficients' absolute values sum to ``3^c`` (``2^c`` with two
+        variables).  So every scaled coefficient of the result has absolute
+        value at most ``B = sum |v| * 3^cmax``, cmax the top last exponent,
+        and with ``bits = B.bit_length() + 1`` every digit lies strictly
+        inside +-2^(bits - 1): the packing is injective and decodes exactly.
         """
         if self.nvars not in (1, 2, 3):
             raise DimensionMismatchError(
                 f"hyperplane restriction supports 1-3 variables, got {self.nvars}"
             )
         k = self.nvars - 1
-        width = self.degree() + 2
-        places = radix_place_values(k, width)
         terms, scale = integer_terms(self._terms)
-        layers: dict[int, dict[int, int]] = {}
-        for mono, num in terms:
-            layers.setdefault(mono[k], {})[sum(map(mul, mono, places))] = num
-        acc: dict[int, int] = {}
-        for e in range(max(layers, default=-1), -1, -1):
-            step = layers.pop(e, {})
-            get = step.get
-            for key, v in acc.items():
-                if not v:
-                    continue
-                step[key] = get(key, 0) + v
-                for place in places:
-                    up = key + place
-                    step[up] = get(up, 0) - v
-            acc = step
-        return Polynomial._raw(
-            k, {radix_decode(key, width, places): Rat(v, scale) for key, v in acc.items() if v}
-        )
+        if k == 0:
+            total = sum(v for _, v in terms)
+            return Polynomial._raw(0, {(): Rat(total, scale)} if total else {})
+        cmax = max((mono[k] for mono, _ in terms), default=0)
+        bits = (sum(abs(v) for _, v in terms) * (k + 1) ** cmax).bit_length() + 1
+        nrows = max((mono[1] for mono, _ in terms), default=0) + cmax + 1 if k == 2 else 1
+        layers = [[0] * nrows for _ in range(cmax + 1)]
+        for mono, v in terms:
+            layers[mono[k]][mono[1] if k == 2 else 0] += v << (bits * mono[0])
+        acc = [0] * nrows
+        for layer in reversed(layers):
+            below = 0  # row j - 1 of acc before this step
+            for j, row in enumerate(acc):
+                acc[j] = layer[j] + row - (row << bits) - below
+                below = row
+        full = 1 << bits
+        half, mask = full >> 1, full - 1
+        out = {}
+        for j, row in enumerate(acc):
+            a = 0
+            while row:
+                digit = row & mask
+                if digit >= half:
+                    digit -= full
+                if digit:
+                    out[(a, j) if k == 2 else (a,)] = Rat(digit, scale)
+                row = (row - digit) >> bits
+                a += 1
+        return Polynomial._raw(k, out)
 
     def evaluate(self, point: Iterable[RatLike]) -> Rat:
         values = [rat(v) for v in point]
@@ -388,9 +409,11 @@ class Polynomial:
             raise ValueError("polynomial JSON must have 'nvars' and 'terms'")
         terms = {}
         for entry in data["terms"]:
-            mono = tuple(int(e) for e in entry["e"])
+            mono = tuple(map(index, entry["e"]))
+            if mono in terms:
+                raise ValueError(f"repeated monomial {list(mono)} in polynomial JSON")
             terms[mono] = rat(entry["c"])
-        return cls(int(data["nvars"]), terms)
+        return cls(index(data["nvars"]), terms)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))

@@ -71,12 +71,28 @@ def validate_special(g: GroupSpec, f: Polynomial) -> SpecialReport:
         )
     return SpecialReport(
         invariant=is_invariant(g, f),
-        constant_on_hyperplane=is_one_on_hyperplane(f),
-        nonneg=all(c.numerator > 0 for c in f.terms.values()),
-        zero_at_origin=f.constant_term() == 0,
+        **_group_free_checks(f),
         n_terms=f.term_count(),
         degree=f.degree(),
     )
+
+
+def _group_free_checks(f: Polynomial) -> dict[str, bool]:
+    """The report fields of the checks that need no group."""
+    return {
+        "constant_on_hyperplane": is_one_on_hyperplane(f),
+        "nonneg": all(c.numerator > 0 for c in f.terms.values()),
+        "zero_at_origin": f.constant_term() == 0,
+    }
+
+
+def group_free_failures(f: Polynomial) -> list[str]:
+    """The checks of :func:`validate_special` that need no group and that f fails.
+
+    Named by their :class:`SpecialReport` field: ``constant_on_hyperplane``,
+    ``nonneg`` and ``zero_at_origin``.
+    """
+    return [name for name, ok in _group_free_checks(f).items() if not ok]
 
 
 def degree_bound(n: int, N: int) -> int:

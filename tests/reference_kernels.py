@@ -1,12 +1,14 @@
 """Reference kernels the fast paths in invsp are checked against.
 
 These are the straightforward versions: a product that multiplies every
-pair of terms in the backend's rationals, a division of G - F by F - 1 that
-rescans the whole remainder for its leading term at each step, an orbit
-test that builds a full region's rotated images, the range of a form over
-a box taken item by item on ``Fraction``, a region classifier that settles
-every slot of one sign region from scratch, and a dense two-phase simplex
-on ``Fraction``.  They share no code with ``Polynomial.__mul__``,
+pair of terms in the backend's rationals, a hyperplane restriction that
+expands each term times a power of 1 - x - y with that product, a division
+of G - F by F - 1 that rescans the whole remainder for its leading term at
+each step, an orbit test that builds a full region's rotated images, the
+range of a form over a box taken item by item on ``Fraction``, a region
+classifier that settles every slot of one sign region from scratch, and a
+dense two-phase simplex on ``Fraction``.  They share no code with
+``Polynomial.__mul__``, ``Polynomial.restrict_to_hyperplane``,
 ``transform.quotient_H``, the sweep's orbit test, interval kernel or prefix
 settling, or ``ratlp``; the classifier takes from the sweep only its sign
 boxes and its box propagation, which ``test_sweep_boxes.py`` checks against
@@ -16,6 +18,7 @@ a rational reference.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from invsp.polycore import Polynomial
 from invsp.sweep import _propagate_box, _signed_box
@@ -37,6 +40,29 @@ def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
             else:
                 out[mono] = s
     return Polynomial(a.nvars, out)
+
+
+@cache
+def _one_minus_sum_power(k: int, e: int) -> Polynomial:
+    """(1 - x - y ...)^e in k variables, by repeated :func:`reference_mul`."""
+    if e == 0:
+        return Polynomial.one(k)
+    var_sum = sum((Polynomial.variable(k, i) for i in range(k)), Polynomial.zero(k))
+    return reference_mul(_one_minus_sum_power(k, e - 1), Polynomial.one(k) - var_sum)
+
+
+def reference_restrict(f: Polynomial) -> Polynomial:
+    """f with its last variable replaced by 1 minus the sum of the others.
+
+    Each term becomes a one-term polynomial times (1 - x - y ...)^e, the
+    products taken by :func:`reference_mul` and summed with Polynomial +.
+    """
+    k = f.nvars - 1
+    out = Polynomial.zero(k)
+    for mono, c in f.terms.items():
+        head = Polynomial.monomial(k, mono[:k], c)
+        out = out + reference_mul(head, _one_minus_sum_power(k, mono[k]))
+    return out
 
 
 def reference_quotient(F: Polynomial, G: Polynomial) -> Polynomial:

@@ -79,6 +79,23 @@ class TestTensorValidate:
         )
         assert code == 0 and json.loads(out)["is_special"] is True
 
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ([{"e": [1.5, 0], "c": "1"}, {"e": [0, 1], "c": "1"}], "integer"),
+            ([{"e": [1, 0], "c": "1"}, {"e": [0, 1], "c": "1/2"}, {"e": [0, 1], "c": "1/2"}],
+             "repeated monomial [0, 1]"),
+        ],
+        ids=["x^1.5 + y", "x + 1/2 y + 1/2 y"],
+    )
+    def test_validate_rejects_lenient_json(self, capsys, tmp_path, terms, message):
+        """x^1.5 + y was read as x + y, which is special for scalar:2:2."""
+        p_file = tmp_path / "p.json"
+        p_file.write_text(json.dumps({"nvars": 2, "terms": terms}))
+        code, out, err = run(capsys, "validate", "--group", "scalar:2:2", str(p_file))
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_malformed_json_reports_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"nvars": 3, "terms": [}')
@@ -350,6 +367,56 @@ class TestClosureCommand:
         code, out, err = run(capsys, "closure", "--base", str(base_file), "--bound", "10")
         assert code == 2 and out == ""
         assert "entry 0 has n=5 but 3 terms" in err
+
+    @pytest.mark.parametrize(
+        "terms, failure",
+        [
+            ({(1, 0): 1, (0, 1): 2}, "constant_on_hyperplane"),
+            ({(1, 0): 2, (0, 1): 2, (2, 0): -1, (1, 1): -2, (0, 2): -1}, "nonneg"),
+            ({(0, 0): 1}, "zero_at_origin"),
+        ],
+        ids=["x + 2y", "2x + 2y - (x + y)^2", "1"],
+    )
+    def test_base_entry_that_is_not_special_is_rejected(self, capsys, tmp_path, terms, failure):
+        poly = Polynomial(2, terms)
+        base_file = tmp_path / "base.json"
+        base_file.write_text(json.dumps(
+            [self.gamma7_entry(capsys), {"n": poly.term_count(), "poly": poly.to_json_dict()}]
+        ))
+        code, out, err = run(capsys, "closure", "--base", str(base_file), "--bound", "8")
+        assert code == 2 and out == ""
+        assert f"entry 1 is not special: fails {failure}" in err
+
+    def test_fractional_n_is_rejected(self, capsys, tmp_path):
+        entry = self.gamma7_entry(capsys)
+        entry["n"] = 17.9
+        base_file = tmp_path / "base.json"
+        base_file.write_text(json.dumps([entry]))
+        code, out, err = run(capsys, "closure", "--base", str(base_file), "--bound", "40")
+        assert code == 2 and out == ""
+        assert "bad closure base" in err and "integer" in err
+
+    def test_every_witness_is_checked_before_printing(self, capsys, tmp_path, monkeypatch):
+        """A witness doubled by a faulty combine keeps its term count but is 2 on the hyperplane."""
+        combine = invsp.gapsearch.combine_witness
+        monkeypatch.setattr(
+            invsp.gapsearch, "combine_witness", lambda *args: combine(*args).scale(2)
+        )
+        base_file = tmp_path / "base.json"
+        base_file.write_text(json.dumps([self.gamma7_entry(capsys)]))
+        code, out, err = run(capsys, "closure", "--base", str(base_file), "--bound", "40")
+        assert code == 1 and out == ""
+        assert "closure witnesses that fail the special checks: [33, 34]" in err
+
+    def test_help_says_invariance_is_not_checked(self, capsys):
+        code, out, _ = run(capsys, "closure", "--help")
+        assert code == 0
+        assert "invariance is not checked" in " ".join(out.split())
+
+    @staticmethod
+    def gamma7_entry(capsys):
+        code, out, _ = run(capsys, "basic-poly", "--group", "gamma7", "--format", "json")
+        return {"n": 17, "poly": json.loads(out)}
 
 
 def test_verify_paper_ledger(capsys):

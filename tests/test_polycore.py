@@ -17,7 +17,7 @@ from invsp.polycore import (
 from invsp.rat import Rat, rat
 
 from conftest import polynomials, rationals
-from reference_kernels import reference_mul
+from reference_kernels import reference_mul, reference_restrict
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
@@ -144,34 +144,6 @@ class TestMultiplyKernel:
         )
 
 
-def substitute_hyperplane(f):
-    """Reference restriction: the Polynomial-arithmetic substitution.
-
-    Each term becomes a one-term polynomial times (1 - x - y ...)^e, the
-    products taken pairwise in rationals and summed with Polynomial +; the
-    integer Horner pass must give the same result.
-    """
-    k = f.nvars - 1
-    repl_terms = {(0,) * k: rat(1)}
-    for i in range(k):
-        e = [0] * k
-        e[i] = 1
-        repl_terms[tuple(e)] = rat(-1)
-    repl = Polynomial(k, repl_terms)
-    powers = {0: Polynomial.one(k)}
-
-    def repl_pow(e):
-        if e not in powers:
-            powers[e] = reference_mul(repl_pow(e - 1), repl)
-        return powers[e]
-
-    out = Polynomial.zero(k)
-    for mono, c in f.terms.items():
-        head = Polynomial.monomial(k, mono[:k], c)
-        out = out + reference_mul(head, repl_pow(mono[k]))
-    return out
-
-
 class TestRestriction:
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_binomial_restricts_to_one(self, m):
@@ -217,28 +189,58 @@ class TestRestriction:
     def test_matches_polynomial_substitution(self, nvars, data):
         f = data.draw(polynomials(nvars, max_terms=8, max_exp=8))
         restricted = f.restrict_to_hyperplane()
-        expected = substitute_hyperplane(f)
+        expected = reference_restrict(f)
         assert restricted.nvars == expected.nvars == nvars - 1
         assert restricted.terms == expected.terms
         assert all(type(c) is Rat for c in restricted.terms.values())
 
     @pytest.mark.parametrize("nvars", [1, 2, 3])
     def test_high_powers_at_the_key_digit_edges(self, nvars):
-        # a lone D-th power puts D, the largest digit, in each place of a
-        # base-(D + 2) key in turn
+        # a lone D-th power of each variable in turn: digit D of a row, row
+        # D of a layer, or D Horner steps
         D = 60
         for axis in range(nvars):
             mono = tuple(D if i == axis else 0 for i in range(nvars))
             f = Polynomial.monomial(nvars, mono, rat(5, 3))
-            assert f.restrict_to_hyperplane().terms == substitute_hyperplane(f).terms
+            assert f.restrict_to_hyperplane().terms == reference_restrict(f).terms
         powers = sum(
             (Polynomial.monomial(nvars, [D if i == j else 0 for i in range(nvars)], rat(j + 1, 2))
              for j in range(nvars)),
             Polynomial.constant(nvars, rat(-1, 7)),
         )
         restricted = powers.restrict_to_hyperplane()
-        assert restricted.terms == substitute_hyperplane(powers).terms
+        assert restricted.terms == reference_restrict(powers).terms
         assert all(type(c) is Rat for c in restricted.terms.values())
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_wide_coefficients_and_high_last_exponents(self, nvars, data):
+        """Numerators up to 2^80 of either sign, denominators up to 10^6 and
+        last exponents up to 40: wide digits, and negative digits that
+        borrow from the digit above, the top digit of a row included."""
+        coeffs = st.builds(rat, st.integers(-(2**80), 2**80), st.integers(1, 10**6))
+        monos = st.tuples(*[st.integers(0, 6)] * (nvars - 1), st.integers(0, 40))
+        f = Polynomial(nvars, data.draw(st.dictionaries(monos, coeffs, max_size=6)))
+        assert f.restrict_to_hyperplane().terms == reference_restrict(f).terms
+
+    @pytest.mark.parametrize("nvars", [2, 3])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_digits_at_the_bound(self, nvars, sign):
+        # without the last variable the restriction is f itself and the digit
+        # bound is the sum of |coefficients|; one top digit takes nearly all of
+        # it, between digits of the other sign
+        lead = (5,) + (3,) * (nvars - 2) + (0,)
+        f = Polynomial(nvars, {
+            lead: sign * (2**80 - 1),
+            (4,) + lead[1:]: -sign,
+            (6,) + (0,) * (nvars - 1): -sign,
+        })
+        assert f.restrict_to_hyperplane().terms == {m[:-1]: c for m, c in f.terms.items()}
+        # one power of the last variable: the bound grows by 3 (2 for two
+        # variables), and every digit moves to its neighbours
+        g = f * Polynomial.variable(nvars, nvars - 1)
+        assert g.restrict_to_hyperplane().terms == reference_restrict(g).terms
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -297,6 +299,18 @@ class TestOrderingAndSerialization:
     def test_from_json_rejects_garbage(self):
         with pytest.raises(ValueError):
             Polynomial.from_json_dict({"terms": []})
+
+    @pytest.mark.parametrize("exponent", [1.5, 1.0, "1"])
+    def test_from_json_rejects_a_non_integer_exponent(self, exponent):
+        data = {"nvars": 2, "terms": [{"e": [exponent, 0], "c": "1"}, {"e": [0, 1], "c": "1"}]}
+        with pytest.raises(TypeError):
+            Polynomial.from_json_dict(data)
+
+    def test_from_json_rejects_a_repeated_monomial(self):
+        # x + 1/2 y + 1/2 y is not read as x + 1/2 y (or as x + y)
+        terms = [{"e": [1, 0], "c": "1"}, {"e": [0, 1], "c": "1/2"}, {"e": [0, 1], "c": "1/2"}]
+        with pytest.raises(ValueError, match=r"repeated monomial \[0, 1\]"):
+            Polynomial.from_json_dict({"nvars": 2, "terms": terms})
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from invsp.transform import (
 )
 
 from conftest import polynomials, rationals
-from reference_kernels import reference_quotient
+from reference_kernels import reference_quotient, reference_restrict
 
 G7 = GroupSpec.gamma7()
 F7 = basic_poly_closed(G7)
@@ -223,6 +223,25 @@ class TestClosureWitnesses:
         assert len(closed) == 170
         bad = [v for v, G in closed.items() if not is_one_on_hyperplane(G)]
         assert bad == []
+
+    def test_restriction_matches_the_reference(self, closed):
+        """All 170 witnesses, up to degree 52 and z-degree 16, term for term."""
+        assert max(G.degree() for G in closed.values()) == 52
+        assert max(mono[2] for G in closed.values() for mono in G.terms) == 16
+        bad = [
+            v for v, G in closed.items()
+            if G.restrict_to_hyperplane().terms != reference_restrict(G).terms
+        ]
+        assert bad == []
+
+    def test_tiny_high_term_is_not_one_on_hyperplane(self, closed):
+        # 10^-30 x^50 scales every other coefficient by 10^30 and restricts
+        # to itself, so the restriction is 1 + 10^-30 x^50
+        tiny = Polynomial.monomial(3, (50, 0, 0), rat(1, 10**30))
+        for v in (17, 200):
+            assert not is_one_on_hyperplane(closed[v] + tiny)
+            restricted = (closed[v] + tiny).restrict_to_hyperplane()
+            assert restricted.terms == {(0, 0): 1, (50, 0): rat(1, 10**30)}
 
     def test_perturbed_witness_fails(self, closed):
         # moving one coefficient by 1/7 adds (1/7) * x^a y^b (1 - x - y)^c,

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import index
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from . import ratlp
 from .construct import basic_poly_closed
 from .groups import GAMMA7, GroupSpec, enumerate_invariant_monomials, rotate_xyz
-from .polycore import Monomial, Polynomial, grlex_key
+from .polycore import Monomial, Polynomial, grlex_key, validate_mono
 from .rat import Rat, rat, rat_str
 from .transform import tensor_step
 
@@ -235,33 +236,46 @@ class AffineFamily:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "AffineFamily":
+        nvars = index(data["nvars"])
+
+        def mono(value) -> Optional[Monomial]:
+            return None if value is None else validate_mono(value, nvars)
+
         params = [
             ParamSpec(
                 name=entry["name"],
-                mono=None if entry.get("mono") is None else tuple(entry["mono"]),
+                mono=mono(entry.get("mono")),
                 lo=None if entry.get("lo") is None else rat(entry["lo"]),
                 hi=None if entry.get("hi") is None else rat(entry["hi"]),
-                structural=bool(entry.get("structural", False)),
+                structural=_json_bool(entry, "structural", False),
             )
             for entry in data["params"]
         ]
         slots = [
-            SlotSpec(
-                mono=None if entry.get("e") is None else tuple(entry["e"]),
-                form=LinearForm.from_json_dict(entry["form"]),
-            )
+            SlotSpec(mono=mono(entry.get("e")), form=LinearForm.from_json_dict(entry["form"]))
             for entry in data["slots"]
         ]
+        for kind, specs in (("parameter", params), ("slot", slots)):
+            monos = [s.mono for s in specs if s.mono is not None]
+            if len(set(monos)) != len(monos):
+                raise ValueError(f"repeated {kind} monomial")
         return cls(
-            nvars=int(data["nvars"]),
+            nvars=nvars,
             params=params,
             slots=slots,
             group=GroupSpec.from_json_dict(data["group"]) if data.get("group") else None,
-            orthant_default=bool(data.get("orthant", True)),
+            orthant_default=_json_bool(data, "orthant", True),
         )
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True)
+
+
+def _json_bool(data: Mapping, key: str, default: bool) -> bool:
+    value = data.get(key, default)
+    if not isinstance(value, bool):
+        raise TypeError(f"{key!r} must be true or false, not {value!r}")
+    return value
 
 
 # -- gamma7 canonical parameter names -------------------------------------------

@@ -82,6 +82,14 @@ def _load_poly(path: str) -> Polynomial:
         raise UsageError(f"bad polynomial in {path}: {exc}")
 
 
+def _load_family(path: str) -> AffineFamily:
+    data = _load_json_file(path)
+    try:
+        return AffineFamily.from_json_dict(data)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise UsageError(f"bad family in {path}: {exc}")
+
+
 def _group(text: str) -> GroupSpec:
     try:
         return parse_group(text)
@@ -153,7 +161,7 @@ def cmd_family_build(args) -> int:
 
 
 def cmd_family_instantiate(args) -> int:
-    fam = AffineFamily.from_json_dict(_load_json_file(args.family))
+    fam = _load_family(args.family)
     point_data = (
         json.loads(args.point) if args.point.strip().startswith("{") else _load_json_file(args.point)
     )
@@ -171,7 +179,7 @@ def cmd_family_instantiate(args) -> int:
 
 
 def cmd_family_l0range(args) -> int:
-    fam = AffineFamily.from_json_dict(_load_json_file(args.family))
+    fam = _load_family(args.family)
     report = run_l0_sweep(
         fam,
         orthant=args.orthant,

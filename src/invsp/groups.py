@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import index, mul
 from typing import Iterable, List, Mapping
 
 from .polycore import DimensionMismatchError, Monomial, Polynomial, grlex_key
@@ -91,9 +91,9 @@ class GroupSpec:
     def from_json_dict(data: Mapping) -> "GroupSpec":
         family = data.get("family")
         if family == SCALAR:
-            return GroupSpec.scalar(int(data["m"]), int(data.get("n", 1)))
+            return GroupSpec.scalar(index(data["m"]), index(data.get("n", 1)))
         if family == WEIGHTED:
-            return GroupSpec.weighted(int(data["p"]), int(data["q"]))
+            return GroupSpec.weighted(index(data["p"]), index(data["q"]))
         if family == GAMMA7:
             return GroupSpec.gamma7()
         raise ValueError(f"unknown group family {family!r}")

@@ -16,11 +16,10 @@ x + y + z = 1 (or its lower-dimensional analogues).
 from __future__ import annotations
 
 import json
-from math import lcm
 from operator import add, index, mul
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
-from .rat import Rat, RatLike, rat, rat_str
+from .rat import Rat, RatLike, rat, rat_str, scaled_ints
 
 Monomial = Tuple[int, ...]
 
@@ -53,15 +52,13 @@ def radix_decode(key: int, width: int, places: tuple[int, ...]) -> Monomial:
 
 
 def integer_terms(terms: Mapping[Monomial, Rat]) -> tuple[list[tuple[Monomial, int]], int]:
-    """The terms with coefficients times L, the lcm of their denominators, and L."""
-    ratios = [c.as_integer_ratio() for c in terms.values()]
-    scale = lcm(*(int(den) for _, den in ratios))
-    return [
-        (mono, int(num) * (scale // int(den))) for mono, (num, den) in zip(terms, ratios)
-    ], scale
+    """The terms with their coefficients as :func:`~invsp.rat.scaled_ints`, and the scale."""
+    ints, scale = scaled_ints(terms.values())
+    return list(zip(terms, ints)), scale
 
 
-def _validate_mono(mono, nvars: int) -> Monomial:
+def validate_mono(mono, nvars: int) -> Monomial:
+    """An exponent sequence as a tuple of ``nvars`` nonnegative ints."""
     mono = tuple(map(index, mono))
     if len(mono) != nvars:
         raise DimensionMismatchError(
@@ -90,7 +87,7 @@ class Polynomial:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coeff in items:
-                mono = _validate_mono(mono, nvars)
+                mono = validate_mono(mono, nvars)
                 c = rat(coeff)
                 if mono in clean:
                     c = clean[mono] + c
@@ -148,7 +145,7 @@ class Polynomial:
         return max(map(sum, self._terms))
 
     def coefficient(self, mono: Iterable[int]) -> Rat:
-        return self._terms.get(_validate_mono(mono, self.nvars), rat(0))
+        return self._terms.get(validate_mono(mono, self.nvars), rat(0))
 
     def constant_term(self) -> Rat:
         return self._terms.get((0,) * self.nvars, rat(0))
@@ -185,7 +182,7 @@ class Polynomial:
                 else:
                     out[mono] = s
             return Polynomial._raw(self.nvars, out)
-        if isinstance(other, (int, str)) or type(other) is type(rat(0)):
+        if isinstance(other, (int, str)) or type(other) is Rat:
             return self + Polynomial.constant(self.nvars, other)
         return NotImplemented
 
@@ -196,17 +193,8 @@ class Polynomial:
 
     def __sub__(self, other):
         if isinstance(other, Polynomial):
-            self._check_same_dim(other)
-            out = dict(self._terms)
-            for mono, c in other._terms.items():
-                s = out.get(mono)
-                s = -c if s is None else s - c
-                if s == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-            return Polynomial._raw(self.nvars, out)
-        if isinstance(other, (int, str)) or type(other) is type(rat(0)):
+            return self + -other
+        if isinstance(other, (int, str)) or type(other) is Rat:
             return self - Polynomial.constant(self.nvars, other)
         return NotImplemented
 
@@ -218,7 +206,7 @@ class Polynomial:
 
         A one-term operand shifts the other's exponents and scales its
         coefficients.  Otherwise each operand is scaled once to Python ints
-        by the lcm of its denominators and each monomial keyed by one int,
+        (:func:`integer_terms`) and each monomial keyed by one int,
         its exponents as digits in base ``deg(self) + deg(other) + 2``, so a
         product of monomials is a sum of keys.  The int products are
         accumulated per key, and each output term is one rational
@@ -302,9 +290,9 @@ class Polynomial:
         variable fewer.  A polynomial is identically 1 on the hyperplane
         x + y (+ z) = 1 exactly when the result is the constant 1.
 
-        The substitution is one Horner pass over packed Python ints.  Every
-        coefficient is scaled by L, the lcm of the denominators, and the
-        polynomial is grouped by its last exponent as f = sum_e z^e P_e.
+        The substitution is one Horner pass over packed Python ints.  The
+        coefficients are scaled to ints by one L (:func:`integer_terms`), and
+        the polynomial is grouped by its last exponent as f = sum_e z^e P_e.
         Each P_e is a list of rows, one per exponent of the middle variable
         (a single row for two variables), and a row holds the coefficients
         of the first variable as ``bits``-wide balanced digits: the term

@@ -30,8 +30,8 @@ rules test is thus the exact rational one, so the basis sequence, and with
 it the returned vertex, objective and status, are those the textbook
 rational tableau reaches from the same start basis with the same column
 order (u block, v block, slacks, artificials).  The tableau holds Python
-ints whatever the rational backend; only the reported values are turned
-back into the backend's :data:`~invsp.rat.Rat`.
+ints; only the reported values are turned back into
+:data:`~invsp.rat.Rat`.
 
 An optimal result keeps its final tableau, and :func:`add_rows` re-optimizes
 it with further rows by the dual simplex (Chvatal, *Linear Programming*,
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .rat import Rat, rat
+from .rat import Rat, rat, scaled_ints
 
 LE = "<="
 GE = ">="
@@ -93,29 +93,13 @@ class LPResult:
     tableau: Optional[_Tableau] = field(default=None, compare=False, repr=False)
 
 
-def _num_den(value) -> Tuple[int, int]:
-    """Numerator and positive denominator of an exact rational input."""
-    try:
-        return int(value.numerator), int(value.denominator)
-    except AttributeError:  # "num/den" strings; rat() also rejects floats
-        q = rat(value)
-        return int(q.numerator), int(q.denominator)
-
-
-def _integer_vector(values) -> Tuple[List[int], int]:
-    """The values times the lcm of their denominators, and that lcm."""
-    pairs = [_num_den(v) for v in values]
-    scale = lcm(*(d for _, d in pairs))
-    return [n * (scale // d) for n, d in pairs], scale
-
-
 def _scaled_row(coeffs, rel: str, rhs, n_vars: int) -> Tuple[List[int], int]:
     """A checked constraint as ints, ``[coeffs..., rhs]``, and its scale."""
     if len(coeffs) != n_vars:
         raise ValueError("constraint arity does not match variable count")
     if rel not in _FLIP:
         raise ValueError(f"unknown relation {rel!r}")
-    return _integer_vector([*coeffs, rhs])
+    return scaled_ints([*coeffs, rhs])
 
 
 def _reduce(row: List[int]) -> List[int]:
@@ -191,7 +175,7 @@ def solve_lp(
         tableau[:] = [_reduce(row[:art_start] + row[-1:]) for row in tableau]
 
     # ---- phase 2 ----
-    c_int, _ = _integer_vector(c_orig if maximize else [-c for c in c_orig])
+    c_int, _ = scaled_ints(c_orig if maximize else [-c for c in c_orig])
     cost2 = c_int + [-c for c in c_int] + [0] * n_slack
     z_row = _initial_z_row(tableau, basis, cost2)
     status, phase2_pivots = _pivot_loop(tableau, basis, z_row)

@@ -61,13 +61,12 @@ it, so a report depends only on the family, the sought values and the budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import ratlp
 from .affinefamily import AffineFamily, bound_rows, form_row, lp_row, nonzero_point
-from .rat import Rat, rat
+from .rat import Rat, rat, scaled_ints
 
 DEFAULT_BUDGET = 200_000
 
@@ -146,24 +145,18 @@ class _CompiledSlot:
     __slots__ = ("scale", "iconst", "iitems")
 
     def __init__(self, const: Rat, items: Tuple[Tuple[int, Rat], ...]):
-        # The form, over (param position, weight) items, times the lcm of its
-        # denominators: a positive factor, so every sign and zero test reads
-        # the same on the rational form and on this one.
-        scale = math.lcm(const.denominator, *(w.denominator for _, w in items))
-        self.scale = scale
-        self.iconst = _scaled(const, scale)
-        self.iitems = tuple((p, _scaled(w, scale)) for p, w in items)
-
-
-def _scaled(q: Rat, scale: int) -> int:
-    return int(q.numerator) * (scale // int(q.denominator))
+        # The form, over (param position, weight) items, scaled to ints by a
+        # positive factor, so every sign and zero test reads the same on the
+        # rational form and on this one.
+        (self.iconst, *weights), self.scale = scaled_ints([const, *(w for _, w in items)])
+        self.iitems = tuple(zip((p for p, _ in items), weights))
 
 
 def _exact(q: Optional[Rat]):
     """A bound as an int when it is integral, else unchanged."""
     if q is None or q.denominator != 1:
         return q
-    return int(q.numerator)
+    return q.numerator
 
 
 class _Compiled:
@@ -250,7 +243,7 @@ def _quotient(num, den: int):
         q, r = divmod(num, den)
         return q if r == 0 else rat(num, den)
     q = num / den
-    return int(q.numerator) if q.denominator == 1 else q
+    return q.numerator if q.denominator == 1 else q
 
 
 _ROUNDS = 3  # passes over the forms per propagation; a fixpoint may need more
@@ -668,6 +661,8 @@ def run_l0_sweep(
     sought_set = (
         frozenset(range(n_slots + 1)) if sought is None else frozenset(int(v) for v in sought)
     )
+    if min(sought_set, default=0) < 0:  # a count no region can have, not a gap
+        raise ValueError(f"a count of nonzero slots is never negative (target {min(sought_set)})")
 
     # the parameters of which a region must have a nonzero one, or None
     if h_degree_exact is not None:

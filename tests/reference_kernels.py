@@ -110,10 +110,6 @@ def reference_canonical(sigma, perm) -> bool:
     return True
 
 
-def _fraction(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
 def reference_interval(const, items, boxes):
     """(fmin, fmin_attained, fmax, fmax_attained) of ``const + sum w*x`` over the boxes.
 
@@ -123,13 +119,13 @@ def reference_interval(const, items, boxes):
     ends, in ``Fraction``.  An unbounded side is None, and its flag False.
     """
     inf = float("inf")
-    fmin = fmax = _fraction(const)
+    fmin = fmax = Fraction(const)
     min_att = max_att = True
     for pos, w in items:
         lo, hi, lo_excl, hi_excl = boxes[pos]
-        ends = [(-inf if lo is None else _fraction(lo), not lo_excl),
-                (inf if hi is None else _fraction(hi), not hi_excl)]
-        (least, least_att), (most, most_att) = sorted((_fraction(w) * x, att) for x, att in ends)
+        ends = [(-inf if lo is None else Fraction(lo), not lo_excl),
+                (inf if hi is None else Fraction(hi), not hi_excl)]
+        (least, least_att), (most, most_att) = sorted((Fraction(w) * x, att) for x, att in ends)
         fmin, fmax = fmin + least, fmax + most
         min_att, max_att = min_att and least_att, max_att and most_att
     if fmin == -inf:

@@ -205,6 +205,84 @@ class TestFamilyCommands:
         assert data["certified_absent"] == [v for v in (0, 1, 2) if str(v) not in witnesses]
 
 
+class TestFamilyFileIsReadStrictly:
+    """A family file is taken as it is written, or refused with exit 2."""
+
+    @pytest.fixture
+    def fam_data(self, capsys):
+        code, out, _ = run(
+            capsys, "family", "build", "--group", "scalar:2:2", "--h-degree", "2",
+            "--format", "json",
+        )
+        assert code == 0
+        return json.loads(out)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d["slots"].append(d["slots"][0]), "repeated slot monomial"),
+            (lambda d: d["params"].append(dict(d["params"][1], name="Q")),
+             "repeated parameter monomial"),
+            (lambda d: d.update(orthant="false"), "'orthant' must be true or false"),
+            (lambda d: d["params"][0].update(structural="no"),
+             "'structural' must be true or false"),
+            (lambda d: d["slots"][0].update(e=[1, 1, 1]), "has 3 exponents, expected 2"),
+            (lambda d: d["params"][0].update(mono=[1.5, 0.5]),
+             "cannot be interpreted as an integer"),
+            (lambda d: d["group"].update(m=2.9), "cannot be interpreted as an integer"),
+            (lambda d: d.update(nvars="2"), "cannot be interpreted as an integer"),
+            (lambda d: d.update(slots=7), "not iterable"),
+        ],
+        ids=["repeated-slot", "repeated-param", "orthant-string", "structural-string",
+             "slot-arity", "fractional-exponent", "fractional-group", "string-nvars",
+             "slots-not-a-list"],
+    )
+    @pytest.mark.parametrize("command", ["l0range", "instantiate"])
+    def test_malformed_family_is_a_usage_error(
+        self, capsys, tmp_path, fam_data, edit, message, command
+    ):
+        edit(fam_data)
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(json.dumps(fam_data))
+        extra = ["--point", "{}"] if command == "instantiate" else []
+        code, out, err = run(capsys, "family", command, "--family", str(fam_file), *extra)
+        assert code == 2 and out == ""
+        assert f"bad family in {fam_file}" in err and message in err
+
+    def test_negative_target_is_a_usage_error(self, capsys, tmp_path, fam_data):
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(json.dumps(fam_data))
+        code, out, err = run(
+            capsys, "family", "l0range", "--family", str(fam_file), "--targets=-2",
+        )
+        assert code == 2 and out == ""
+        assert "a count of nonzero slots is never negative (target -2)" in err
+        code, out, _ = run(
+            capsys, "family", "l0range", "--family", str(fam_file), "--targets=0",
+            "--format", "json",
+        )
+        assert code == 0 and json.loads(out)["sought"] == [0]
+
+    def test_repeated_forms_without_monomials_stay_allowed(self, capsys, tmp_path):
+        """A family with null monomials is a plain linear system; a form may repeat."""
+        fam = {
+            "nvars": 1,
+            "params": [{"name": "a", "lo": None, "hi": None, "mono": None},
+                       {"name": "b", "lo": None, "hi": None, "mono": None}],
+            "slots": [{"e": None, "form": {"const": "0", "a": "1"}},
+                      {"e": None, "form": {"const": "0", "a": "1"}}],
+        }
+        fam_file = tmp_path / "fam.json"
+        fam_file.write_text(json.dumps(fam))
+        code, out, _ = run(
+            capsys, "family", "l0range", "--family", str(fam_file), "--no-orthant",
+            "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert sorted(data["achievable"]) == ["0", "2"] and data["certified_absent"] == [1]
+
+
 class TestGaps:
     def test_weighted_report(self, capsys):
         code, out, _ = run(

@@ -2,6 +2,7 @@
 and a float cross-check."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -105,7 +106,21 @@ class TestBasics:
         assert res.pivots > 0
 
     def test_rat_module_is_not_shadowed(self):
-        assert isinstance(invsp.rat.HAVE_GMPY2, bool)
+        assert invsp.rat.Rat is Fraction and invsp.rat.HAVE_GMPY2 is False
+
+    @pytest.mark.parametrize("where", ["objective", "coefficient", "rhs"])
+    def test_float_input_is_rejected(self, where):
+        c = [0.5, 1] if where == "objective" else [1, 1]
+        coeffs = [1, 0.5] if where == "coefficient" else [1, "1/2"]
+        rhs = 2.0 if where == "rhs" else 2
+        with pytest.raises(TypeError):
+            ratlp.solve_lp(c, [(coeffs, "<=", rhs)], 2)
+
+    def test_float_row_is_rejected_by_add_rows(self):
+        res = ratlp.solve_lp([1], [([1], "<=", 2)], 1)
+        assert res.status == ratlp.OPTIMAL
+        with pytest.raises(TypeError):
+            ratlp.add_rows(res, [([0.5], "<=", 1)])
 
     def test_redundant_equalities(self, monkeypatch):
         """Drive-out pivots on a negative entry and drops all-zero rows."""

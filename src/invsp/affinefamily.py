@@ -206,8 +206,7 @@ class AffineFamily:
         for p in self.params:
             if p.mono is None:
                 raise ValueError("family parameters carry no monomials")
-            if pt[p.name] != 0:
-                terms[p.mono] = pt[p.name]
+            terms[p.mono] = pt[p.name]
         return Polynomial(self.nvars, terms)
 
     def to_json_dict(self) -> dict:
@@ -332,10 +331,11 @@ def build_coefficient_family(
     names = [_param_name(g, m) for m in monos]
 
     # G = F - H + H*F, as [const, {name: weight}] per monomial of G
-    acc: Dict[Monomial, list] = {mono: [coeff, {}] for mono, coeff in F.terms.items()}
+    f_terms = F.terms.items()
+    acc: Dict[Monomial, list] = {mono: [coeff, {}] for mono, coeff in f_terms}
     for name, h_mono in zip(names, monos):
         terms = [(h_mono, -1)]
-        terms += [(tuple(a + b for a, b in zip(h_mono, f)), c) for f, c in F.terms.items()]
+        terms += [(tuple(a + b for a, b in zip(h_mono, f)), c) for f, c in f_terms]
         for mono, w in terms:
             weights = acc.setdefault(mono, [0, {}])[1]
             weights[name] = weights.get(name, 0) + w
@@ -391,9 +391,7 @@ def instantiate(fam: AffineFamily, point: Mapping) -> Polynomial:
     for s in fam.slots:
         if s.mono is None:
             raise ValueError("family slots carry no monomials; use evaluate_slots")
-        value = s.form.evaluate(pt)
-        if value != 0:
-            terms[s.mono] = value
+        terms[s.mono] = s.form.evaluate(pt)
     return Polynomial(fam.nvars, terms)
 
 

@@ -17,11 +17,11 @@ and (for these families) has nonnegative coefficients.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb, gcd, isqrt
 
 from .groups import GAMMA7, SCALAR, GroupSpec
 from .polycore import Polynomial
-from .rat import rat
 
 
 def is_prime(n: int) -> bool:
@@ -84,13 +84,14 @@ GAMMA7_BASIC_TERMS = {
 }
 
 
+@cache
 def basic_poly_closed(g: GroupSpec) -> Polynomial:
     """Basic polynomial from its closed form.
 
     scalar: x^m (one variable) or (x+y)^m (two variables);
     weighted with q=1: (x+y)^p; weighted with q=2: binomial formula;
     gamma7: the fixed 17-term polynomial.  Other weighted exponents have no
-    closed form here; use :func:`basic_poly_product`.
+    closed form here; use :func:`basic_poly_product`.  Built once per group.
     """
     if g.family == SCALAR:
         if g.nvars == 1:
@@ -104,10 +105,9 @@ def basic_poly_closed(g: GroupSpec) -> Polynomial:
         return (Polynomial.variable(2, 0) + Polynomial.variable(2, 1)) ** p
     if q == 2:
         r = (p - 1) // 2
-        terms = {(p, 0): rat(1), (0, p): rat(1)}
-        for j in range(1, r + 1):
-            terms[(p - 2 * j, j)] = rat(coefficient_c(r, j))
-        return Polynomial(2, terms)
+        terms = {(p, 0): 1, (0, p): 1}
+        terms.update(((p - 2 * j, j), coefficient_c(r, j)) for j in range(1, r + 1))
+        return Polynomial._raw(2, terms)
     raise ValueError(
         f"no closed form for weighted family with q={q}; use basic_poly_product"
     )
@@ -165,7 +165,7 @@ def basic_poly_product(p: int, weights: tuple[int, ...], nvars: int) -> Polynomi
             value += 1
         if value != 0:
             terms[mono] = value
-    result = Polynomial(nvars, terms)
+    result = Polynomial._raw(nvars, terms)
     if result.constant_term() != 0:
         raise ArithmeticError("product construction produced a constant term")
     return result

@@ -233,12 +233,10 @@ SCALAR22_EXPECTED_G = {(4, 0): 1, (1, 1): 3, (3, 1): 1, (1, 3): 1, (0, 4): 1}
 
 
 def catalog_h(terms: Sequence[tuple], nvars: int) -> Polynomial:
-    """Materialize a catalog H, scaling lambda-marked terms by 1/2."""
-    acc = {}
-    for scaled, coeff, mono in terms:
-        value = rat(coeff) * (LAMBDA_FIXTURE if scaled else rat(1))
-        acc[tuple(mono)] = acc.get(tuple(mono), rat(0)) + value
-    return Polynomial(nvars, acc)
+    """Materialize a catalog H, scaling lambda-marked terms by 1/2 (repeats add up)."""
+    return Polynomial(
+        nvars, [(mono, rat(coeff) * (LAMBDA_FIXTURE if lam else 1)) for lam, coeff, mono in terms]
+    )
 
 
 @dataclass
@@ -400,8 +398,7 @@ def combine_witness(h: Polynomial, f: Polynomial, full: bool) -> Polynomial:
     N(h) + N(f) - 1 terms; otherwise half of it, giving N(h) + N(f).
     """
     mono, coeff = h.leading_term()
-    lam = coeff if full else coeff / 2
-    step = Polynomial.monomial(h.nvars, mono, lam)
+    step = Polynomial.monomial(h.nvars, mono, coeff if full else coeff / 2)
     return h - step + step * f
 
 

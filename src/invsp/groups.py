@@ -147,7 +147,7 @@ def is_invariant(g: GroupSpec, f: Polynomial) -> bool:
             f"polynomial has {f.nvars} variables, group acts on {g.nvars}"
         )
     weights, order = g.weights, g.order
-    return all(sum(map(mul, weights, mono)) % order == 0 for mono in f.terms)
+    return all(sum(map(mul, weights, mono)) % order == 0 for mono in f.int_terms()[0])
 
 
 def enumerate_invariant_monomials(g: GroupSpec, max_degree: int) -> List[Monomial]:

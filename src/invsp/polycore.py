@@ -1,12 +1,13 @@
 """Exact sparse multivariate polynomial arithmetic.
 
 A polynomial is a finite map from exponent tuples to nonzero exact rational
-coefficients, together with an explicit variable count.  The representation
-is canonical: zero coefficients are never stored, and term iteration is
-graded-lexicographic (total degree first, then exponent tuples with the
-first variable most significant), leading term first.  All operations are
-pure; polynomials are immutable after construction and safe to share across
-threads or worker processes.
+coefficients, together with an explicit variable count.  It is stored
+canonically as one dict of nonzero int numerators over one positive int
+denominator coprime to them (1 for the zero polynomial), so every kernel
+runs on Python ints and a ``Fraction`` is built only when a coefficient is
+read.  Term iteration is graded-lexicographic (total degree first, then
+exponent tuples with the first variable most significant), leading term
+first.  Polynomials are immutable and safe to share across threads.
 
 Supported variable counts are small (0 through 3 in practice): the intended
 use is real polynomials in x, y, z that are constant on the hyperplane
@@ -16,10 +17,12 @@ x + y + z = 1 (or its lower-dimensional analogues).
 from __future__ import annotations
 
 import json
+from math import gcd, lcm, prod
 from operator import add, index, mul
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Tuple, Union
 
-from .rat import Rat, RatLike, rat, rat_str, scaled_ints
+from .rat import Rat, RatLike, rat
 
 Monomial = Tuple[int, ...]
 
@@ -51,12 +54,6 @@ def radix_decode(key: int, width: int, places: tuple[int, ...]) -> Monomial:
     return tuple([key // p % width for p in places])
 
 
-def integer_terms(terms: Mapping[Monomial, Rat]) -> tuple[list[tuple[Monomial, int]], int]:
-    """The terms with their coefficients as :func:`~invsp.rat.scaled_ints`, and the scale."""
-    ints, scale = scaled_ints(terms.values())
-    return list(zip(terms, ints)), scale
-
-
 def validate_mono(mono, nvars: int) -> Monomial:
     """An exponent sequence as a tuple of ``nvars`` nonnegative ints."""
     mono = tuple(map(index, mono))
@@ -72,15 +69,16 @@ def validate_mono(mono, nvars: int) -> Monomial:
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients.
 
+    The coefficient of ``m`` is ``_num[m] / _den`` (see the module docstring).
     ``nvars`` may be 0, in which case the polynomial is a constant (the
     empty exponent tuple is its only possible monomial).  The zero
     polynomial is the empty term map and has term count 0.
     """
 
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_num", "_den", "_terms", "_hash")
 
     def __init__(self, nvars: int, terms: Union[Mapping, Iterable, None] = None):
-        nvars = int(nvars)
+        nvars = index(nvars)
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         clean: dict[Monomial, Rat] = {}
@@ -88,16 +86,11 @@ class Polynomial:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for mono, coeff in items:
                 mono = validate_mono(mono, nvars)
-                c = rat(coeff)
-                if mono in clean:
-                    c = clean[mono] + c
-                if c == 0:
-                    clean.pop(mono, None)
-                else:
-                    clean[mono] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
+                clean[mono] = clean.get(mono, 0) + rat(coeff)
+        # the lcm of reduced denominators is coprime to the scaled numerators
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.nvars, self._den, self._terms, self._hash = nvars, den, None, None
+        self._num = {m: c.numerator * (den // c.denominator) for m, c in clean.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -125,42 +118,66 @@ class Polynomial:
     def monomial(cls, nvars: int, expts: Iterable[int], coeff: RatLike = 1) -> "Polynomial":
         return cls(nvars, {tuple(expts): rat(coeff)})
 
+    @classmethod
+    def _raw(cls, nvars: int, num: dict, den: int = 1) -> "Polynomial":
+        """Internal constructor: nonzero int numerators over den > 0, reduced."""
+        g = gcd(den, *num.values()) if den != 1 else 1
+        obj = object.__new__(cls)
+        obj.nvars, obj._den, obj._terms, obj._hash = nvars, den // g, None, None
+        obj._num = num if g == 1 else {m: v // g for m, v in num.items()}
+        return obj
+
     # -- basic queries -----------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Monomial, Rat]:
+        """The coefficients as ``Fraction``, read-only, built on first read."""
+        if self._terms is None:
+            self._terms = MappingProxyType({m: Rat(v, self._den) for m, v in self._num.items()})
         return self._terms
+
+    def int_terms(self) -> tuple[Mapping[Monomial, int], int]:
+        """The read-only numerators and the denominator of :attr:`terms`."""
+        return MappingProxyType(self._num), self._den
 
     def term_count(self) -> int:
         """Number of distinct monomials with nonzero coefficient."""
-        return len(self._terms)
+        return len(self._num)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             return -1
-        return max(map(sum, self._terms))
+        return max(map(sum, self._num))
 
     def coefficient(self, mono: Iterable[int]) -> Rat:
-        return self._terms.get(validate_mono(mono, self.nvars), rat(0))
+        return Rat(self._num.get(validate_mono(mono, self.nvars), 0), self._den)
 
     def constant_term(self) -> Rat:
-        return self._terms.get((0,) * self.nvars, rat(0))
+        return Rat(self._num.get((0,) * self.nvars, 0), self._den)
 
     def iter_terms(self) -> Iterator[tuple[Monomial, Rat]]:
         """Terms in descending graded-lex order (leading term first)."""
-        for mono in sorted(self._terms, key=grlex_key, reverse=True):
-            yield mono, self._terms[mono]
+        for mono in sorted(self._num, key=grlex_key, reverse=True):
+            yield mono, Rat(self._num[mono], self._den)
+
+    def _term_texts(self) -> Iterator[tuple[Monomial, str]]:
+        """:meth:`iter_terms` with each coefficient as ``str(Fraction)`` writes it."""
+        den = self._den
+        for mono in sorted(self._num, key=grlex_key, reverse=True):
+            v = self._num[mono]
+            g = gcd(v, den)
+            yield mono, str(v // g) if g == den else f"{v // g}/{den // g}"
 
     def leading_term(self) -> tuple[Monomial, Rat]:
         """Largest term in graded-lex order; error on the zero polynomial."""
-        if not self._terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self._terms, key=grlex_key)
-        return mono, self._terms[mono]
+        mono = max(self._num, key=grlex_key)
+        return mono, Rat(self._num[mono], self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -170,33 +187,36 @@ class Polynomial:
                 f"operands have {self.nvars} and {other.nvars} variables"
             )
 
-    def __add__(self, other):
-        if isinstance(other, Polynomial):
-            self._check_same_dim(other)
-            out = dict(self._terms)
-            for mono, c in other._terms.items():
-                s = out.get(mono)
-                s = c if s is None else s + c
-                if s == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-            return Polynomial._raw(self.nvars, out)
+    def _plus(self, other, sign: int):
+        """self + sign * other, over the lcm of the two denominators."""
         if isinstance(other, (int, str)) or type(other) is Rat:
-            return self + Polynomial.constant(self.nvars, other)
-        return NotImplemented
+            other = Polynomial.constant(self.nvars, other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
+        self._check_same_dim(other)
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        out = {m: v * fa for m, v in self._num.items()}
+        get = out.get
+        for mono, v in other._num.items():
+            s = get(mono, 0) + v * fb
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+        return Polynomial._raw(self.nvars, out, da * fa)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.nvars, {m: -c for m, c in self._terms.items()})
+        return Polynomial._raw(self.nvars, {m: -v for m, v in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, Polynomial):
-            return self + -other
-        if isinstance(other, (int, str)) or type(other) is Rat:
-            return self - Polynomial.constant(self.nvars, other)
-        return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -205,38 +225,32 @@ class Polynomial:
         """Exact product with a polynomial, or scaling by a rational.
 
         A one-term operand shifts the other's exponents and scales its
-        coefficients.  Otherwise each operand is scaled once to Python ints
-        (:func:`integer_terms`) and each monomial keyed by one int,
-        its exponents as digits in base ``deg(self) + deg(other) + 2``, so a
-        product of monomials is a sum of keys.  The int products are
-        accumulated per key, and each output term is one rational
-        ``v / (la * lb)``.
+        numerators.  Otherwise each monomial is keyed by one int, its
+        exponents as digits in base ``deg(self) + deg(other) + 2``, so a
+        product of monomials is a sum of keys, and the numerator products
+        are summed per key.
         """
         if isinstance(other, Polynomial):
             self._check_same_dim(other)
             n = self.nvars
-            if not self._terms or not other._terms:
+            if not self._num or not other._num:
                 return Polynomial.zero(n)
-            if len(other._terms) == 1:
-                return self._times_term(other)
-            if len(self._terms) == 1:
-                return other._times_term(self)
+            for a, b in ((self, other), (other, self)):
+                if len(b._num) == 1:
+                    ((shift, c),) = b._num.items()
+                    return a._scaled(c, b._den, shift)
             width = self.degree() + other.degree() + 2
             places = radix_place_values(n, width)
-            a, la = integer_terms(self._terms)
-            b, lb = integer_terms(other._terms)
-            b_keyed = [(sum(map(mul, mono, places)), v) for mono, v in b]
+            b_keyed = [(sum(map(mul, mono, places)), v) for mono, v in other._num.items()]
             out: dict[int, int] = {}
             get = out.get
-            for mono, va in a:
+            for mono, va in self._num.items():
                 ka = sum(map(mul, mono, places))
                 for kb, vb in b_keyed:
                     key = ka + kb
                     out[key] = get(key, 0) + va * vb
-            den = la * lb
-            return Polynomial._raw(
-                n, {radix_decode(key, width, places): Rat(v, den) for key, v in out.items() if v}
-            )
+            out = {radix_decode(key, width, places): v for key, v in out.items() if v}
+            return Polynomial._raw(n, out, self._den * other._den)
         # scalar
         try:
             c = rat(other)
@@ -246,18 +260,16 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def _times_term(self, term: "Polynomial") -> "Polynomial":
-        """The product with a one-term polynomial, term by term."""
-        ((shift, c),) = term._terms.items()
-        return Polynomial._raw(
-            self.nvars, {tuple(map(add, mono, shift)): v * c for mono, v in self._terms.items()}
-        )
+    def _scaled(self, p: int, q: int, shift: Monomial) -> "Polynomial":
+        """self times p/q * x^shift, p nonzero."""
+        out = {tuple(map(add, mono, shift)): v * p for mono, v in self._num.items()}
+        return Polynomial._raw(self.nvars, out, self._den * q)
 
     def scale(self, factor: RatLike) -> "Polynomial":
         c = rat(factor)
         if c == 0:
             return Polynomial.zero(self.nvars)
-        return Polynomial._raw(self.nvars, {m: v * c for m, v in self._terms.items()})
+        return self._scaled(c.numerator, c.denominator, (0,) * self.nvars)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -272,15 +284,6 @@ class Polynomial:
             e >>= 1
         return result
 
-    @classmethod
-    def _raw(cls, nvars: int, terms: dict) -> "Polynomial":
-        """Internal constructor; terms must already be canonical."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "nvars", nvars)
-        object.__setattr__(obj, "_terms", terms)
-        object.__setattr__(obj, "_hash", None)
-        return obj
-
     # -- structural operations ----------------------------------------------
 
     def restrict_to_hyperplane(self) -> "Polynomial":
@@ -290,24 +293,22 @@ class Polynomial:
         variable fewer.  A polynomial is identically 1 on the hyperplane
         x + y (+ z) = 1 exactly when the result is the constant 1.
 
-        The substitution is one Horner pass over packed Python ints.  The
-        coefficients are scaled to ints by one L (:func:`integer_terms`), and
-        the polynomial is grouped by its last exponent as f = sum_e z^e P_e.
-        Each P_e is a list of rows, one per exponent of the middle variable
-        (a single row for two variables), and a row holds the coefficients
-        of the first variable as ``bits``-wide balanced digits: the term
-        ``v * x^a y^b z^e`` adds ``v << (bits * a)`` to row b of layer e.
-        From the top e down, acc = acc * (1 - x - y) + P_e, which is one
+        The substitution is one Horner pass over the numerators packed into
+        Python ints; the result keeps the denominator.  Group f by its last
+        exponent as f = sum_e z^e P_e.  Each P_e is a list of rows, one per
+        exponent of the middle variable (one row for two variables), and a
+        row holds the first variable's numerators as ``bits``-wide balanced
+        digits: the term ``v * x^a y^b z^e`` adds ``v << (bits * a)`` to row
+        b of layer e.  From the top e down, acc = acc * (1 - x - y) + P_e, which is one
         shift and two subtractions per row.  The rows are decoded once, at
         the end, lowest digit first (a negative digit borrows from the one
         above), and a row's decode stops when nothing is left of it, so the
-        constant restriction of a special polynomial reads one digit.  The
-        result is acc / L.  With one variable it is the sum of the
-        coefficients.
+        constant restriction of a special polynomial reads one digit.  With
+        one variable the result is the sum of the coefficients.
 
         A term ``x^a y^b z^c`` restricts to ``x^a y^b (1 - x - y)^c``, whose
         coefficients' absolute values sum to ``3^c`` (``2^c`` with two
-        variables).  So every scaled coefficient of the result has absolute
+        variables).  So every numerator of the result has absolute
         value at most ``B = sum |v| * 3^cmax``, cmax the top last exponent,
         and with ``bits = B.bit_length() + 1`` every digit lies strictly
         inside +-2^(bits - 1): the packing is injective and decodes exactly.
@@ -316,16 +317,15 @@ class Polynomial:
             raise DimensionMismatchError(
                 f"hyperplane restriction supports 1-3 variables, got {self.nvars}"
             )
-        k = self.nvars - 1
-        terms, scale = integer_terms(self._terms)
+        k, num = self.nvars - 1, self._num
         if k == 0:
-            total = sum(v for _, v in terms)
-            return Polynomial._raw(0, {(): Rat(total, scale)} if total else {})
-        cmax = max((mono[k] for mono, _ in terms), default=0)
-        bits = (sum(abs(v) for _, v in terms) * (k + 1) ** cmax).bit_length() + 1
-        nrows = max((mono[1] for mono, _ in terms), default=0) + cmax + 1 if k == 2 else 1
+            total = sum(num.values())
+            return Polynomial._raw(0, {(): total} if total else {}, self._den)
+        cmax = max((mono[k] for mono in num), default=0)
+        bits = (sum(map(abs, num.values())) * (k + 1) ** cmax).bit_length() + 1
+        nrows = max((mono[1] for mono in num), default=0) + cmax + 1 if k == 2 else 1
         layers = [[0] * nrows for _ in range(cmax + 1)]
-        for mono, v in terms:
+        for mono, v in num.items():
             layers[mono[k]][mono[1] if k == 2 else 0] += v << (bits * mono[0])
         acc = [0] * nrows
         for layer in reversed(layers):
@@ -343,28 +343,21 @@ class Polynomial:
                 if digit >= half:
                     digit -= full
                 if digit:
-                    out[(a, j) if k == 2 else (a,)] = Rat(digit, scale)
+                    out[(a, j) if k == 2 else (a,)] = digit
                 row = (row - digit) >> bits
                 a += 1
-        return Polynomial._raw(k, out)
+        return Polynomial._raw(k, out, self._den)
 
     def evaluate(self, point: Iterable[RatLike]) -> Rat:
         values = [rat(v) for v in point]
         if len(values) != self.nvars:
             raise DimensionMismatchError("evaluation point has wrong arity")
-        total = rat(0)
-        for mono, c in self._terms.items():
-            term = c
-            for v, e in zip(values, mono):
-                if e:
-                    term = term * v**e
-            total += term
-        return total
+        return sum((c * prod(map(pow, values, m)) for m, c in self._num.items()), rat(0)) / self._den
 
     def set_variable_zero(self, index: int) -> "Polynomial":
         """Drop all terms involving the given variable (set it to zero)."""
         return Polynomial._raw(
-            self.nvars, {m: c for m, c in self._terms.items() if m[index] == 0}
+            self.nvars, {m: v for m, v in self._num.items() if m[index] == 0}, self._den
         )
 
     # -- comparisons ---------------------------------------------------------
@@ -372,13 +365,12 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        return (self.nvars, self._den, self._num) == (other.nvars, other._den, other._num)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.nvars, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash((self.nvars, self._den, frozenset(self._num.items())))
         return h
 
     # -- serialization ---------------------------------------------------------
@@ -386,9 +378,7 @@ class Polynomial:
     def to_json_dict(self) -> dict:
         return {
             "nvars": self.nvars,
-            "terms": [
-                {"e": list(mono), "c": rat_str(c)} for mono, c in self.iter_terms()
-            ],
+            "terms": [{"e": list(mono), "c": c} for mono, c in self._term_texts()],
         }
 
     @classmethod
@@ -411,26 +401,17 @@ class Polynomial:
         return cls.from_json_dict(json.loads(text))
 
     def __str__(self):
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for mono, c in self.iter_terms():
-            factors = []
-            for name, e in zip(VAR_NAMES, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
+        for mono, c in self._term_texts():
+            body = "*".join(
+                name if e == 1 else f"{name}^{e}" for name, e in zip(VAR_NAMES, mono) if e
+            )
             if not body:
-                chunk = rat_str(c)
-            elif c == 1:
-                chunk = body
-            elif c == -1:
-                chunk = f"-{body}"
+                parts.append(c)
             else:
-                chunk = f"{rat_str(c)}*{body}"
-            parts.append(chunk)
+                parts.append(body if c == "1" else f"-{body}" if c == "-1" else f"{c}*{body}")
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
 
@@ -447,10 +428,8 @@ def dominates(g: Polynomial, h: Polynomial) -> bool:
     """True when every coefficient of h - g is nonnegative."""
     if g.nvars != h.nvars:
         raise DimensionMismatchError("dominates requires matching variable counts")
-    for mono in set(g.terms) | set(h.terms):
-        if h.terms.get(mono, rat(0)) - g.terms.get(mono, rat(0)) < 0:
-            return False
-    return True
+    (a, da), (b, db) = g.int_terms(), h.int_terms()
+    return all(b.get(m, 0) * da >= a.get(m, 0) * db for m in a.keys() | b.keys())
 
 
 def is_one_on_hyperplane(f: Polynomial) -> bool:

@@ -34,9 +34,9 @@ def rat_str(q: Rat) -> str:
 def scaled_ints(values: Iterable[RatLike]) -> tuple[list[int], int]:
     """The values times L, the lcm of their denominators, and L (1 if empty).
 
-    The one place where rationals become Python ints for the integer
-    kernels.  A value that is not an int or a Rat goes through :func:`rat`,
-    so a float raises ``TypeError``.
+    How the LP and the sweep turn rationals into Python ints.  A value that
+    is not an int or a Rat goes through :func:`rat`, so a float raises
+    ``TypeError``.
     """
     ratios = [(v if isinstance(v, (int, Rat)) else rat(v)).as_integer_ratio() for v in values]
     scale = lcm(*(den for _, den in ratios))

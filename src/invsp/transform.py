@@ -21,12 +21,10 @@ from .groups import GroupSpec, is_invariant
 from .polycore import (
     DimensionMismatchError,
     Polynomial,
-    integer_terms,
     is_one_on_hyperplane,
     radix_decode,
     radix_place_values,
 )
-from .rat import Rat
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ def _group_free_checks(f: Polynomial) -> dict[str, bool]:
     """The report fields of the checks that need no group."""
     return {
         "constant_on_hyperplane": is_one_on_hyperplane(f),
-        "nonneg": all(c.numerator > 0 for c in f.terms.values()),
+        "nonneg": all(v > 0 for v in f.int_terms()[0].values()),
         "zero_at_origin": f.constant_term() == 0,
     }
 
@@ -115,37 +113,37 @@ def quotient_H(g: GroupSpec, G: Polynomial) -> Polynomial:
     """Recover the unique H with G = F - H + H*F, F the basic polynomial.
 
     Computed by exact division of G - F by F - 1 with graded-lex leading
-    term reduction, in place on one map of Python ints.  G - F is scaled by
-    the lcm of its denominators and F - 1 by that of its own.  Each monomial
-    is keyed by one int whose digits in base ``degree + 2`` are its total
-    degree and then its exponents, so the int order is the graded-lex order
-    and a product of monomials is a sum of keys.  A max-heap of the live
-    keys yields each leading term, and a step touches only the terms of
-    F - 1.  A nonzero remainder means G is not in the family generated by F
-    and raises ``ValueError`` naming the first (largest) stray term.
+    term reduction, in place on one map of the numerators of G - F.  Each
+    monomial is keyed by one int whose digits in base ``degree + 2`` are its
+    total degree and then its exponents, so the int order is the graded-lex
+    order and a product of monomials is a sum of keys.  A max-heap of the
+    live keys yields each leading term, and a step touches only the terms of
+    F - 1: those of F, which is nonconstant and so leads F - 1, and the -1.
+    A nonzero remainder means G is not in the family generated by F and
+    raises ``ValueError`` naming the first (largest) stray term.
     """
     F = basic_poly_closed(g)
     if G.nvars != F.nvars:
         raise DimensionMismatchError("polynomial dimension does not match group")
     n = F.nvars
     current = G - F
-    divisor = F - Polynomial.one(n)
-    width = max(current.degree(), divisor.degree()) + 2
+    width = max(current.degree(), F.degree()) + 2
     places = radix_place_values(n + 1, width)
 
     def key(mono):
         return sum(map(mul, (sum(mono), *mono), places))
 
-    terms, scale = integer_terms(current.terms)  # current = rem / scale
-    rem = {key(mono): v for mono, v in terms}
-    div_terms, div_scale = integer_terms(divisor.terms)
-    lead_mono = divisor.leading_term()[0]
+    terms, scale = current.int_terms()  # current = rem / scale
+    rem = {key(mono): v for mono, v in terms.items()}
+    div_terms, div_scale = F.int_terms()
+    lead_mono = F.leading_term()[0]
     lead_key = key(lead_mono)
-    lead = dict(div_terms)[lead_mono]
-    rest = [(key(mono) - lead_key, v) for mono, v in div_terms if mono != lead_mono]
+    lead = div_terms[lead_mono]
+    rest = [(key(mono) - lead_key, v) for mono, v in div_terms.items() if mono != lead_mono]
+    rest.append((-lead_key, -div_scale))  # the -1 of F - 1, at key 0
     heap = [-k for k in rem]
     heapify(heap)
-    quotient = {}
+    quotient = {}  # H = quotient / scale
     while heap:
         k = -heappop(heap)
         c = rem.pop(k, 0)
@@ -157,14 +155,15 @@ def quotient_H(g: GroupSpec, G: Polynomial) -> Polynomial:
                 "division left a nonzero remainder; the input is not of the form "
                 f"F - H + H*F for this group (first stray term {mono})"
             )
-        if c % lead:  # scale the remainder up so that lead divides c
+        if c % lead:  # scale up so that lead divides c
             f = abs(lead) // gcd(c, lead)
-            for t in rem:
-                rem[t] *= f
+            for part in (rem, quotient):
+                for t in part:
+                    part[t] *= f
             c *= f
             scale *= f
         q = c // lead
-        quotient[radix_decode(k - lead_key, width, places)[1:]] = Rat(q * div_scale, scale)
+        quotient[radix_decode(k - lead_key, width, places)[1:]] = q * div_scale
         for dk, dv in rest:
             t = k + dk
             v = rem.get(t, 0) - q * dv
@@ -174,4 +173,4 @@ def quotient_H(g: GroupSpec, G: Polynomial) -> Polynomial:
                 rem[t] = v
             else:
                 rem.pop(t, None)
-    return Polynomial._raw(n, quotient)
+    return Polynomial._raw(n, quotient, scale)

@@ -1,6 +1,9 @@
-"""Shared hypothesis strategies for exact rational polynomials."""
+"""Shared hypothesis strategies for exact rational polynomials, and their canonical-form check."""
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
 
 from hypothesis import strategies as st
 
@@ -31,3 +34,13 @@ def polynomials(
     return st.dictionaries(
         monomials(nvars, max_exp), coeffs, min_size=min_size, max_size=max_terms
     ).map(lambda d: Polynomial(nvars, d))
+
+
+def assert_canonical(p):
+    """Nonzero int numerators over a positive denominator coprime to them."""
+    num, den = p.int_terms()
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and v != 0 for v in num.values())
+    assert gcd(den, *num.values()) == 1  # so den is 1 for the zero polynomial
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert dict(p.terms) == {mono: Fraction(v, den) for mono, v in num.items()}

@@ -1,18 +1,20 @@
 """Reference kernels the fast paths in invsp are checked against.
 
-These are the straightforward versions: a product that multiplies every
-pair of terms in the backend's rationals, a hyperplane restriction that
-expands each term times a power of 1 - x - y with that product, a division
-of G - F by F - 1 that rescans the whole remainder for its leading term at
-each step, an orbit test that builds a full region's rotated images, the
-range of a form over a box taken item by item on ``Fraction``, a region
-classifier that settles every slot of one sign region from scratch, and a
-dense two-phase simplex on ``Fraction``.  They share no code with
-``Polynomial.__mul__``, ``Polynomial.restrict_to_hyperplane``,
-``transform.quotient_H``, the sweep's orbit test, interval kernel or prefix
-settling, or ``ratlp``; the classifier takes from the sweep only its sign
-boxes and its box propagation, which ``test_sweep_boxes.py`` checks against
-a rational reference.
+These are the straightforward versions.  On plain ``Fraction`` term dicts:
+a sum and a scaling coefficient by coefficient, a product that multiplies
+every pair of terms, a hyperplane restriction that expands each term times
+a power of 1 - x - y with that product, and a division of G - F by F - 1
+that rescans the whole remainder for its leading term at each step.  Then
+an orbit test that builds a full region's rotated images, the range of a
+form over a box taken item by item on ``Fraction``, a region classifier
+that settles every slot of one sign region from scratch, and a dense
+two-phase simplex on ``Fraction``.  They share no code with the arithmetic
+of ``Polynomial`` (its constructor, which builds their results, aside),
+``Polynomial.restrict_to_hyperplane``, ``transform.quotient_H``, the
+sweep's orbit test, interval kernel or prefix settling, or ``ratlp``; the
+classifier takes from the sweep only its sign boxes and its box
+propagation, which ``test_sweep_boxes.py`` checks against a rational
+reference.
 """
 
 from __future__ import annotations
@@ -26,12 +28,15 @@ from invsp.sweep import _propagate_box, _signed_box
 _SIGN_RANK = {0: 0, 1: 1, -1: 2}
 
 
-def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """a * b by pairwise products of rational coefficients."""
-    assert a.nvars == b.nvars
+def _grlex(mono):
+    return (sum(mono), mono)
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two plain term dicts, by pairwise products of coefficients."""
     out = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+    for ma, ca in a.items():
+        for mb, cb in b.items():
             mono = tuple(x + y for x, y in zip(ma, mb))
             s = out.get(mono)
             s = ca * cb if s is None else s + ca * cb
@@ -39,60 +44,98 @@ def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
                 out.pop(mono, None)
             else:
                 out[mono] = s
-    return Polynomial(a.nvars, out)
+    return out
+
+
+def reference_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    """a * b by pairwise products of rational coefficients."""
+    assert a.nvars == b.nvars
+    return Polynomial(a.nvars, _mul_terms(dict(a.terms), dict(b.terms)))
+
+
+def reference_add(a: Polynomial, b: Polynomial, sign: int = 1) -> dict:
+    """The terms of a + sign * b, summed coefficient by coefficient on a plain dict."""
+    assert a.nvars == b.nvars
+    out = dict(a.terms)
+    for mono, c in b.terms.items():
+        s = out.get(mono, 0) + sign * c
+        if s == 0:
+            out.pop(mono, None)
+        else:
+            out[mono] = s
+    return out
+
+
+def reference_scale(a: Polynomial, factor) -> dict:
+    """The terms of factor * a, each coefficient times the factor."""
+    factor = Fraction(factor)
+    return {mono: c * factor for mono, c in a.terms.items()} if factor else {}
 
 
 @cache
-def _one_minus_sum_power(k: int, e: int) -> Polynomial:
-    """(1 - x - y ...)^e in k variables, by repeated :func:`reference_mul`."""
+def _one_minus_sum_power(k: int, e: int) -> dict:
+    """The terms of (1 - x - y ...)^e in k variables, by repeated :func:`_mul_terms`."""
+    zero = (0,) * k
     if e == 0:
-        return Polynomial.one(k)
-    var_sum = sum((Polynomial.variable(k, i) for i in range(k)), Polynomial.zero(k))
-    return reference_mul(_one_minus_sum_power(k, e - 1), Polynomial.one(k) - var_sum)
+        return {zero: Fraction(1)}
+    base = {zero: Fraction(1)}
+    base.update({zero[:i] + (1,) + zero[i + 1:]: Fraction(-1) for i in range(k)})
+    return _mul_terms(_one_minus_sum_power(k, e - 1), base)
 
 
 def reference_restrict(f: Polynomial) -> Polynomial:
     """f with its last variable replaced by 1 minus the sum of the others.
 
-    Each term becomes a one-term polynomial times (1 - x - y ...)^e, the
-    products taken by :func:`reference_mul` and summed with Polynomial +.
+    Each term becomes its head times (1 - x - y ...)^e, expanded on plain
+    term dicts and summed into one dict.
     """
     k = f.nvars - 1
-    out = Polynomial.zero(k)
+    out = {}
     for mono, c in f.terms.items():
-        head = Polynomial.monomial(k, mono[:k], c)
-        out = out + reference_mul(head, _one_minus_sum_power(k, mono[k]))
-    return out
+        for m, v in _one_minus_sum_power(k, mono[k]).items():
+            key = tuple(x + y for x, y in zip(mono[:k], m))
+            out[key] = out.get(key, 0) + c * v
+    return Polynomial(k, out)
 
 
 def reference_quotient(F: Polynomial, G: Polynomial) -> Polynomial:
     """The H with G = F - H + H*F, by graded-lex leading-term division.
 
-    Raises ``ValueError`` naming the first stray term when the division
-    leaves a remainder.
+    Runs on plain term dicts and rescans the whole remainder for its leading
+    term at each step.  Raises ``ValueError`` naming the first stray term
+    when the division leaves a remainder.
     """
     n = F.nvars
-    divisor = F - Polynomial.one(n)
-    lead_mono, lead_coeff = divisor.leading_term()
-    remainder = {}
-    current = G - F
-    quotient = Polynomial.zero(n)
-    while not current.is_zero():
-        mono, coeff = current.leading_term()
+    zero = (0,) * n
+    divisor = dict(F.terms)
+    divisor[zero] = divisor.get(zero, 0) - 1
+    divisor = {mono: c for mono, c in divisor.items() if c}
+    lead_mono = max(divisor, key=_grlex)
+    current = reference_add(G, F, -1)
+    quotient, remainder = {}, {}
+    while current:
+        mono = max(current, key=_grlex)
+        coeff = current[mono]
         if all(a >= b for a, b in zip(mono, lead_mono)):
             shift = tuple(a - b for a, b in zip(mono, lead_mono))
-            q_term = Polynomial.monomial(n, shift, coeff / lead_coeff)
-            quotient = quotient + q_term
-            current = current - reference_mul(q_term, divisor)
+            q = coeff / divisor[lead_mono]
+            quotient[shift] = q
+            for m, c in divisor.items():
+                key = tuple(x + y for x, y in zip(shift, m))
+                s = current.get(key, 0) - q * c
+                if s == 0:
+                    current.pop(key, None)
+                else:
+                    current[key] = s
         else:
             remainder[mono] = coeff
-            current = current - Polynomial.monomial(n, mono, coeff)
+            del current[mono]
     if remainder:
         raise ValueError(
             "division left a nonzero remainder; the input is not of the form "
             f"F - H + H*F for this group (first stray term {next(iter(remainder))})"
         )
-    return quotient
+    return Polynomial(n, quotient)
 
 
 def reference_canonical(sigma, perm) -> bool:

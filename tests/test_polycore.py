@@ -1,6 +1,7 @@
 """Exact sparse polynomial arithmetic: examples, axioms, serialization."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,13 @@ from invsp.polycore import (
 )
 from invsp.rat import Rat, rat
 
-from conftest import polynomials, rationals
-from reference_kernels import reference_mul, reference_restrict
+from conftest import assert_canonical, polynomials, rationals
+from reference_kernels import (
+    reference_add,
+    reference_mul,
+    reference_restrict,
+    reference_scale,
+)
 
 X = Polynomial.variable(2, 0)
 Y = Polynomial.variable(2, 1)
@@ -142,6 +148,100 @@ class TestMultiplyKernel:
         assert_same_product(
             one_minus_x * geometric, Polynomial(1, {(0,): rat(1, 3), (70,): rat(-1, 3)})
         )
+
+
+def reference_json(nvars, terms):
+    ordered = sorted(terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+    return {"nvars": nvars, "terms": [{"e": list(m), "c": str(c)} for m, c in ordered]}
+
+
+class TestIntegerKernels:
+    """Each kernel on int numerators against a reference on Fraction dicts."""
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_sum_difference_negation_and_scaling(self, nvars, data):
+        a = data.draw(polynomials(nvars, max_terms=6, max_exp=5))
+        b = data.draw(polynomials(nvars, max_terms=6, max_exp=5))
+        c = data.draw(rationals(max_num=20, max_den=12))
+        for got, expected in (
+            (a + b, reference_add(a, b)),
+            (a - b, reference_add(a, b, -1)),
+            (a - a, {}),
+            (-a, reference_scale(a, -1)),
+            (a.scale(c), reference_scale(a, c)),
+            (c * a, reference_scale(a, c)),
+            (a + c, reference_add(a, Polynomial.constant(nvars, c))),
+        ):
+            assert_canonical(got)
+            assert got.nvars == nvars and got.terms == expected
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_products_and_restriction(self, nvars, data):
+        a = data.draw(polynomials(nvars, max_terms=6, max_exp=5))
+        b = data.draw(polynomials(nvars, max_terms=6, max_exp=5))
+        term = data.draw(polynomials(nvars, max_terms=1, max_exp=5, allow_zero=False))
+        for got, expected in (
+            (a * b, reference_mul(a, b)),
+            (a * term, reference_mul(a, term)),
+            (term * a, reference_mul(term, a)),
+            (a.restrict_to_hyperplane(), reference_restrict(a)),
+        ):
+            assert_canonical(got)
+            assert got.nvars == expected.nvars and got.terms == expected.terms
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equality_hash_and_json_follow_the_coefficients(self, nvars, data):
+        a = data.draw(polynomials(nvars, max_terms=6, max_exp=5))
+        b = data.draw(polynomials(nvars, max_terms=6, max_exp=5))
+        c = data.draw(rationals(max_num=20, max_den=12).filter(bool))
+        # the same polynomial reached by arithmetic and built from Fractions
+        for reached, terms in (
+            (a + b, reference_add(a, b)),
+            (a * b, reference_mul(a, b).terms),
+            (a.scale(c).scale(1 / c), a.terms),
+            ((a - b) + b, a.terms),
+        ):
+            built = Polynomial(nvars, terms)
+            assert_canonical(built)
+            assert reached == built and hash(reached) == hash(built)
+            assert reached.to_json_dict() == built.to_json_dict() == reference_json(nvars, terms)
+            assert Polynomial.from_json_dict(reached.to_json_dict()) == reached
+        assert (a == b) == (a.terms == b.terms)
+
+    def test_gcd_is_divided_out(self):
+        p = Polynomial(2, {(1, 0): rat(1, 2), (0, 1): rat(1, 2)})
+        assert p.int_terms() == ({(1, 0): 1, (0, 1): 1}, 2)
+        assert (p + p).int_terms() == ({(1, 0): 1, (0, 1): 1}, 1)
+        assert (p - p).int_terms() == ({}, 1)
+        assert p.scale(rat(4, 3)).int_terms() == ({(1, 0): 2, (0, 1): 2}, 3)
+
+    def test_terms_is_a_read_only_view(self):
+        p = Polynomial(2, {(1, 0): 1, (0, 1): 2})
+        with pytest.raises(TypeError):
+            p.terms[(1, 0)] = rat(0)
+        num, _ = p.int_terms()
+        with pytest.raises(TypeError):
+            num[(1, 0)] = 0
+        assert str(p) == "x + 2*y" and p.term_count() == 2
+        assert p != Polynomial(2, {(0, 1): 2})
+        assert hash(p) == hash(Polynomial(2, {(0, 1): 2, (1, 0): 1}))
+
+    @pytest.mark.parametrize("nvars", [2.9, 2.0, "2"])
+    def test_non_integer_nvars_is_rejected(self, nvars):
+        for build in (
+            lambda: Polynomial(nvars, {(1, 0): 1}),
+            lambda: Polynomial.zero(nvars),
+            lambda: Polynomial.constant(nvars, 1),
+            lambda: Polynomial.variable(nvars, 0),
+        ):
+            with pytest.raises(TypeError):
+                build()
 
 
 class TestRestriction:

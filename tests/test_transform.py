@@ -8,7 +8,7 @@ from invsp.construct import basic_poly_closed, coefficient_c
 from invsp.gapsearch import GAMMA7_CATALOG, catalog_h, combine_witness, frobenius_closure
 from invsp.groups import GroupSpec, enumerate_invariant_monomials
 from invsp.polycore import DimensionMismatchError, Polynomial, is_one_on_hyperplane
-from invsp.rat import Rat, rat
+from invsp.rat import rat
 from invsp.transform import (
     degree_bound,
     quotient_H,
@@ -16,7 +16,7 @@ from invsp.transform import (
     validate_special,
 )
 
-from conftest import polynomials, rationals
+from conftest import assert_canonical, polynomials, rationals
 from reference_kernels import reference_quotient, reference_restrict
 
 G7 = GroupSpec.gamma7()
@@ -131,11 +131,16 @@ ROUNDTRIP_GROUPS = [G7, GroupSpec.weighted(7, 2), GroupSpec.weighted(11, 2), Gro
 
 
 def division_outcome(divide):
-    """("ok", quotient terms) or ("stray", the ValueError's message)."""
+    """("ok", quotient terms) or ("stray", the ValueError's message).
+
+    A quotient must be in canonical form.
+    """
     try:
-        return "ok", divide().terms
+        H = divide()
     except ValueError as exc:
         return "stray", str(exc)
+    assert_canonical(H)
+    return "ok", H.terms
 
 
 class TestQuotientKernel:
@@ -150,7 +155,8 @@ class TestQuotientKernel:
         G = tensor_step(F, H)
         got = quotient_H(g, G)
         assert got.terms == reference_quotient(F, G).terms == H.terms
-        assert all(type(c) is Rat for c in got.terms.values())
+        assert_canonical(got)
+        assert_canonical(G)
 
     @pytest.mark.parametrize("g", ROUNDTRIP_GROUPS, ids=str)
     @settings(max_examples=60, deadline=None)
@@ -218,6 +224,19 @@ class TestClosureWitnesses:
         for _, h_terms, expected_n in GAMMA7_CATALOG:
             base.setdefault(expected_n, tensor_step(F7, catalog_h(h_terms, 3)))
         return frobenius_closure(base, 200)
+
+    def test_witnesses_are_checked_without_fraction_coefficients(self):
+        """Closure, validation and JSON read only the int numerators."""
+        base = {}
+        for _, h_terms, expected_n in GAMMA7_CATALOG:
+            base.setdefault(expected_n, tensor_step(F7, catalog_h(h_terms, 3)))
+        closed = frobenius_closure(base, 80)
+        for v, G in closed.items():
+            assert validate_special(G7, G).is_special and G.term_count() == v
+            assert Polynomial.from_json_dict(G.to_json_dict()) == G
+        assert all(G._terms is None for G in closed.values())
+        for G in closed.values():
+            assert_canonical(G)
 
     def test_every_witness_is_one_on_hyperplane(self, closed):
         assert len(closed) == 170

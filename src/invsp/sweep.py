@@ -11,17 +11,18 @@ Structure of the search, mirroring a by-hand case analysis:
 1. Parameters are split by exact sign (zero / positive / negative where a
    negative value is allowed), giving a lattice of sign regions, walked
    depth first over the parameters in their stored order by one recursive
-   generator.  Every prefix, a full region included, is settled before the
-   walk goes on: its zero parameters are substituted away, and each slot
-   that vanishes, or is nonzero in every region below, is counted and
-   dropped.  On the orthant the sign boxes and the family's bounds for the
-   parameters still unsigned are first propagated, nonzero means positive,
-   a slot the boxes cap at zero is marked forced to vanish, and the whole
-   subtree is cut when a box empties or a slot cannot be nonnegative over
-   the boxes; in the free-sign regime nonzero means either sign over the
-   sign boxes.
-   In both, the subtree is cut when more slots are nonzero in every region
-   below than the largest sought value.
+   generator.  Every prefix, a full region included, is settled from its
+   parent before the walk goes on: a new zero parameter is substituted
+   away, and each slot that vanishes, or is nonzero in every region below,
+   is counted and dropped.  On the orthant the parent's boxes, the new
+   parameter's narrowed to its sign, are propagated on from the slots
+   holding it, nonzero means positive, a slot the boxes cap at zero is
+   marked forced to vanish, and the subtree is cut when a box empties or a
+   slot cannot be nonnegative over the boxes; in the free-sign regime
+   nonzero means either sign over the sign boxes.  Only the slots holding
+   the new or a moved parameter are checked again.  In both, the subtree
+   is cut when more slots are nonzero in every region below than the
+   largest sought value.
 2. A region reaches the search settled: the count of its nonzero slots,
    its propagated boxes, its forced-zero slots and its open slot forms.
    Only the open forms are branched on, zero first and then nonzero, by one
@@ -38,12 +39,12 @@ Structure of the search, mirroring a by-hand case analysis:
 4. An order-3 variable rotation, when the family's forms and bounds are
    symmetric under it (``AffineFamily.symmetry``), keeps only the
    lexicographically least region of each orbit, cutting the region
-   lattice by up to a factor of three.  The
-   test runs at every prefix whose positions the rotation maps onto
-   themselves (the degree-class boundaries), before the prefix is settled:
-   it ranks the prefix's signs and compares them with its two rotated
-   images, and cuts the whole subtree when an image is smaller: no region
-   below it is its orbit's representative.
+   lattice by up to a factor of three.  The test runs at every prefix
+   whose positions the rotation maps onto themselves (the degree-class
+   boundaries), before the prefix is settled: it ranks the prefix's signs
+   and compares them with its two rotated images, and cuts the whole
+   subtree when an image is smaller: no region below it is its orbit's
+   representative.
 
 One budget, which the walk and the region search both pay, bounds the
 whole sweep: every node of the sign lattice and every search node inside a
@@ -62,6 +63,7 @@ it, so a report depends only on the family, the sought values and the budget.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from heapq import heappop, heappush
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import ratlp
@@ -176,6 +178,13 @@ class _Compiled:
             for s in fam.slots
         ]
         self.choices = [_sign_choices(p.lo, p.hi) for p in fam.params]
+        # per parameter, the slots holding it, and those reading its lo and its hi
+        self.occurs = [[] for _ in index]
+        self.readers = [([], []) for _ in index]
+        for k, slot in enumerate(self.slots):
+            for p, w in slot.iitems:
+                self.occurs[p].append(k)
+                self.readers[p][w > 0].append(k)
 
 
 def _sign_choices(lo: Optional[Rat], hi: Optional[Rat]) -> Tuple[int, ...]:
@@ -249,8 +258,15 @@ def _quotient(num, den: int):
 _ROUNDS = 3  # passes over the forms per propagation; a fixpoint may need more
 
 
-def _propagate_box(boxes, forms) -> bool:
-    """Tighten parameter boxes using form >= 0; False if a box empties.
+def _propagate_box(boxes, forms, seeds, readers):
+    """Tighten parameter boxes using form >= 0; the moved positions, or None if a box empties.
+
+    ``forms`` has None for a settled slot, and ``readers[p]`` the slots
+    reading p's ``lo`` and its ``hi``.  A round visits, in slot order, the
+    ``seeds`` (sorted) and each slot reading a bound moved since its last
+    visit (a later slot in the same round, an earlier one in the next); one
+    whose reads have not moved would move nothing, so seeding every slot
+    makes each round a full pass.  Every round ends with an emptiness check.
 
     One pass per form: the terms that cap the form from above are summed
     once, and each item's rest is that total less its own term (or the
@@ -259,14 +275,20 @@ def _propagate_box(boxes, forms) -> bool:
     weight, ``hi`` for a negative one), so no update inside a form changes
     another item's rest.
     """
+    moved = set()
+    todo = list(seeds)  # this round's slots, a heap
     for _ in range(_ROUNDS):
-        changed = False
-        for const, items in forms:
+        queued, later = set(todo), set()
+        while todo:
+            f = heappop(todo)
+            if forms[f] is None:
+                continue
+            const, items = forms[f]
             total = const
             uncapped = None  # the one item whose capping bound is None
             for item in items:
                 pos, w = item
-                bound = boxes[pos][1 if w > 0 else 0]
+                bound = boxes[pos][w > 0]
                 if bound is None:
                     if uncapped is not None:
                         break  # two uncapped items: no item has a finite rest
@@ -279,14 +301,21 @@ def _propagate_box(boxes, forms) -> bool:
                     if wk > 0:
                         rest = total if uncapped else total - wk * hi
                         # the new lo, -rest/wk, beats lo iff rest + wk*lo < 0
-                        if lo is None or rest + wk * lo < 0:
-                            boxes[k] = (_quotient(-rest, wk), hi, False, hi_excl)
-                            changed = True
+                        if lo is not None and rest + wk * lo >= 0:
+                            continue
+                        boxes[k] = (_quotient(-rest, wk), hi, False, hi_excl)
                     else:
                         rest = total if uncapped else total - wk * lo
-                        if hi is None or rest + wk * hi < 0:
-                            boxes[k] = (lo, _quotient(-rest, wk), lo_excl, False)
-                            changed = True
+                        if hi is not None and rest + wk * hi >= 0:
+                            continue
+                        boxes[k] = (lo, _quotient(-rest, wk), lo_excl, False)
+                    moved.add(k)
+                    for j in readers[k][wk < 0]:
+                        if j < f:
+                            later.add(j)
+                        elif j not in queued:
+                            queued.add(j)
+                            heappush(todo, j)
         for box in boxes:
             if box is None:
                 continue
@@ -294,10 +323,11 @@ def _propagate_box(boxes, forms) -> bool:
             if lo is not None and hi is not None and (
                 lo > hi or (lo == hi and (lo_excl or hi_excl))
             ):
-                return False
-        if not changed:
+                return None
+        if not later:
             break
-    return True
+        todo = sorted(later)
+    return moved
 
 
 # -- per-region search -----------------------------------------------------------
@@ -362,7 +392,7 @@ def _explore_region(
 
     base_rows = []
     for p in support:
-        lo, hi, _, _ = leaf.tight[p]
+        lo, hi, _, _ = leaf.boxes[p]
         base_rows += bound_rows(pos_of[p], lo, hi, n_vars)
         # the region's sign of p: sigma_p * x_p >= t
         base_rows.append(form_row([(pos_of[p], sigma[p])], 0, n_vars, ratlp.GE, 1))
@@ -484,38 +514,35 @@ class _Prefix:
     substituted away, or None once the slot is settled: vanishing, or
     nonzero in every region below (counted in ``n_pos``), which on the
     orthant means positive and in the free-sign regime either sign.
-    ``boxes`` holds the sign box of each parameter with a sign, None for a
-    zero one, and the family's own bounds for each parameter without a sign
-    yet; ``tight`` holds the boxes settling left, propagated on the orthant,
-    and ``zero`` the unsettled slots those boxes cap at 0 (orthant only),
-    which vanish wherever every slot is nonnegative.  A full-length prefix
-    that stands is the settled region the region search takes as it is.
+    ``boxes`` holds each parameter's sign box, or the family's bounds
+    before it has a sign, propagated on the orthant (None for a zero one),
+    and ``zero`` the unsettled slots, in slot order, those boxes cap at 0
+    (orthant only), which vanish wherever every slot is nonnegative.  A
+    full-length prefix that stands is the settled region the region search
+    takes as it is.
 
-    Propagation starts from the sign boxes at every prefix.  It is monotone
-    in the boxes and in the forms (fewer forms, wider boxes), and a
-    parameter substituted by zero acts as the box [0, 0], so a prefix's
-    propagated boxes contain those a region below it gets by settling all
-    its slots afresh.  A cut prefix therefore holds no region that the
-    region search would spend a node on.
+    A child starts from its parent's boxes and ``zero``; a slot the new
+    sign does not reach keeps its form, boxes and verdict.  Boxes only
+    shrink down the walk, so a cut prefix holds no region the region search
+    would spend a node on.
     """
 
-    __slots__ = ("forms", "boxes", "tight", "zero", "n_pos")
+    __slots__ = ("comp", "forms", "boxes", "zero", "n_pos")
 
-    def __init__(self, forms, boxes, n_pos: int):
-        self.forms = forms
-        self.boxes = boxes
-        self.n_pos = n_pos
+    def __init__(self, comp: _Compiled, forms, boxes, zero, n_pos: int):
+        self.comp, self.forms, self.boxes, self.zero, self.n_pos = comp, forms, boxes, zero, n_pos
 
     @classmethod
     def root(cls, comp: _Compiled, top: int):
         """The empty prefix and the rule that cuts it (None if it stands)."""
         forms = [(slot.iconst, slot.iitems) for slot in comp.slots]
         boxes = [(lo, hi, False, False) for lo, hi in zip(comp.lo, comp.hi)]
-        prefix = cls(forms, boxes, 0)
+        prefix = cls(comp, forms, boxes, [], 0)
         return prefix, prefix._settle(range(len(forms)), comp.orthant, top)
 
-    def child(self, p: int, s: int, occurs: Sequence[int], orthant: bool, top: int):
+    def child(self, p: int, s: int, top: int):
         """The prefix extended by sign s for parameter p, and its cut rule."""
+        occurs = self.comp.occurs[p]
         forms = list(self.forms)
         boxes = list(self.boxes)
         if s == 0:
@@ -526,20 +553,21 @@ class _Prefix:
                     forms[k] = (const, tuple(it for it in items if it[0] != p))
         else:
             boxes[p] = _signed_box(boxes[p], s)
-        prefix = _Prefix(forms, boxes, self.n_pos)
-        return prefix, prefix._settle(occurs, orthant, top)
+        prefix = _Prefix(self.comp, forms, boxes, self.zero, self.n_pos)
+        return prefix, prefix._settle(occurs, self.comp.orthant, top)
 
     def _settle(self, touched: Sequence[int], orthant: bool, top: int):
         """Settle the slots after a change to the touched ones; the cut rule.
 
         Cut when more than ``top`` slots are nonzero in every region below
         (``_WINDOW``), or, on the orthant, when a box empties or a slot's
-        maximum over the tight boxes is negative, or is 0 and not attained
+        maximum over the boxes is negative, or is 0 and not attained
         (``_BOX``); propagation stops after a few rounds, so it can leave
-        such a slot behind.  A slot nonzero over the tight boxes stays so in
-        every region below, so it is counted and dropped from the forms; on
-        the orthant a slot whose maximum is exactly 0 is recorded in
-        ``zero``.  Only a touched slot can have become constant.
+        such a slot behind.  Only a touched slot can have become constant.
+        The touched slots, and on the orthant those holding a parameter
+        their propagation moved, are checked again: one nonzero over the
+        boxes stays so below, so it is counted and dropped from the forms,
+        and on the orthant one whose maximum is exactly 0 is in ``zero``.
         """
         forms = self.forms
         for k in touched:
@@ -552,12 +580,18 @@ class _Prefix:
             self.n_pos += const != 0
         if self.n_pos > top:
             return _WINDOW
-        active = [k for k, form in enumerate(forms) if form is not None]
-        boxes = self.tight = list(self.boxes)
-        if orthant and not _propagate_box(boxes, [forms[k] for k in active]):
-            return _BOX
-        self.zero = []
-        for k in active:
+        boxes = self.boxes
+        recheck = set(touched)
+        if orthant:
+            moved = _propagate_box(boxes, forms, touched, self.comp.readers)
+            if moved is None:
+                return _BOX
+            for q in moved:
+                recheck.update(self.comp.occurs[q])
+        zero = [k for k in self.zero if k not in recheck]
+        for k in recheck:
+            if forms[k] is None:
+                continue
             const, items = forms[k]
             fmin, min_att, fmax, max_att = _interval_of(const, items, boxes)
             negative = fmax is not None and (fmax < 0 or (fmax == 0 and not max_att))
@@ -567,7 +601,8 @@ class _Prefix:
                 forms[k] = None
                 self.n_pos += 1
             elif orthant and fmax == 0:
-                self.zero.append(k)
+                zero.append(k)
+        self.zero = sorted(zero)
         return _WINDOW if self.n_pos > top else None
 
 
@@ -588,9 +623,9 @@ def _walk(comp: _Compiled, perm, need, top: int, budget: _Budget, stats: SweepSt
     (:func:`_canonical`), and when an image is smaller the subtree, whose
     every region is then non-canonical, is cut and counted in
     ``stats.pruned_orbit``.  Every prefix that stands, the full length
-    included, is then settled by :class:`_Prefix` against ``top``, the
-    largest sought value, and each subtree it cuts is counted in ``stats``
-    under its rule.
+    included, is then settled from its parent (:class:`_Prefix`) against
+    ``top``, the largest sought value, and each subtree it cuts is counted
+    in ``stats`` under its rule.
     """
     choices = comp.choices
     n = len(choices)
@@ -601,10 +636,6 @@ def _walk(comp: _Compiled, perm, need, top: int, budget: _Budget, stats: SweepSt
     # themselves: in stored order, the degree-class boundaries
     closed = () if perm is None else {j for j in range(1, n + 1) if max(perm[:j]) < j}
     rotations = () if perm is None else (perm, [perm[p] for p in perm])
-    occurs: List[List[int]] = [[] for _ in range(n)]
-    for k, slot in enumerate(comp.slots):
-        for p, _ in slot.iitems:
-            occurs[p].append(k)
     sigma = [0] * n
 
     def cut(rule: str, j: int) -> None:  # the subtree under a prefix of length j
@@ -622,7 +653,7 @@ def _walk(comp: _Compiled, perm, need, top: int, budget: _Budget, stats: SweepSt
             if depth + 1 in closed and not _canonical(sigma, rotations, depth + 1):
                 cut(_ORBIT, depth + 1)
                 continue
-            child, rule = prefix.child(depth, s, occurs[depth], comp.orthant, top)
+            child, rule = prefix.child(depth, s, top)
             if rule is not None:
                 cut(rule, depth + 1)
                 continue

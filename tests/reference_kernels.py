@@ -6,15 +6,14 @@ every pair of terms, a hyperplane restriction that expands each term times
 a power of 1 - x - y with that product, and a division of G - F by F - 1
 that rescans the whole remainder for its leading term at each step.  Then
 an orbit test that builds a full region's rotated images, the range of a
-form over a box taken item by item on ``Fraction``, a region classifier
-that settles every slot of one sign region from scratch, and a dense
-two-phase simplex on ``Fraction``.  They share no code with the arithmetic
-of ``Polynomial`` (its constructor, which builds their results, aside),
+form over a box taken item by item on ``Fraction``, box propagation that
+re-sums the rest of a form for every item, a region classifier that
+settles every slot of one sign region from scratch, and a dense two-phase
+simplex on ``Fraction``.  They share no code with the arithmetic of
+``Polynomial`` (its constructor, which builds their results, aside),
 ``Polynomial.restrict_to_hyperplane``, ``transform.quotient_H``, the
-sweep's orbit test, interval kernel or prefix settling, or ``ratlp``; the
-classifier takes from the sweep only its sign boxes and its box
-propagation, which ``test_sweep_boxes.py`` checks against a rational
-reference.
+sweep's orbit test, sign boxes, box propagation, interval kernel or prefix
+settling, or ``ratlp``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from fractions import Fraction
 from functools import cache
 
 from invsp.polycore import Polynomial
-from invsp.sweep import _propagate_box, _signed_box
 
 _SIGN_RANK = {0: 0, 1: 1, -1: 2}
 
@@ -178,6 +176,62 @@ def reference_interval(const, items, boxes):
     return fmin, min_att, fmax, max_att
 
 
+def reference_propagate(boxes, forms, rounds=3):
+    """Tighten the boxes in place with ``form >= 0``; False if a box empties.
+
+    Each round visits every form in order, and for every item re-sums the
+    rest of the form at its capping ends (``hi`` for a positive weight,
+    ``lo`` for a negative one), then moves the item's other end to where
+    the whole form can still reach 0, dividing in ``Fraction``.  Stops
+    after a round that moves nothing, or after ``rounds`` rounds; the boxes
+    are checked for emptiness after every round.
+    """
+    for _ in range(rounds):
+        changed = False
+        for const, items in forms:
+            for k, wk in items:
+                rest_max = const
+                for pos, w in items:
+                    if pos == k:
+                        continue
+                    lo, hi, _, _ = boxes[pos]
+                    bound = hi if w > 0 else lo
+                    if bound is None:
+                        rest_max = None
+                        break
+                    rest_max += w * bound
+                if rest_max is None:
+                    continue
+                lo, hi, lo_excl, hi_excl = boxes[k]
+                if wk > 0:
+                    new_lo = Fraction(-rest_max) / wk
+                    if lo is None or new_lo > lo:
+                        boxes[k] = (new_lo, hi, lo_excl and new_lo == 0, hi_excl)
+                        changed = True
+                else:
+                    new_hi = Fraction(rest_max) / -wk
+                    if hi is None or new_hi < hi:
+                        boxes[k] = (lo, new_hi, lo_excl, hi_excl and new_hi == 0)
+                        changed = True
+        for box in boxes:
+            if box is None:
+                continue
+            lo, hi, lo_excl, hi_excl = box
+            if lo is not None and hi is not None:
+                if lo > hi or (lo == hi and (lo_excl or hi_excl)):
+                    return False
+        if not changed:
+            break
+    return True
+
+
+def reference_sign_box(lo, hi, s):
+    """The part of [lo, hi] (None unbounded) where x has sign s, 0 excluded."""
+    if s > 0:
+        return (0, hi, True, False) if lo is None or lo <= 0 else (lo, hi, False, False)
+    return (lo, 0, False, True) if hi is None or hi >= 0 else (lo, hi, False, False)
+
+
 def reference_region(comp, sigma):
     """Settle every slot of the sign region sigma from scratch.
 
@@ -209,9 +263,9 @@ def reference_region(comp, sigma):
     boxes = [None] * len(comp.names)
     for i, s in enumerate(sigma):
         if s != 0:
-            boxes[i] = _signed_box((comp.lo[i], comp.hi[i], False, False), s)
+            boxes[i] = reference_sign_box(comp.lo[i], comp.hi[i], s)
 
-    if comp.orthant and not _propagate_box(boxes, [(c, it) for _, c, it in reduced]):
+    if comp.orthant and not reference_propagate(boxes, [(c, it) for _, c, it in reduced]):
         return None
 
     forced_zero, ambiguous = [], []
